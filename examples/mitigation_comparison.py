@@ -10,64 +10,54 @@ Run:  python examples/mitigation_comparison.py
 """
 
 from repro.analysis.area import AreaModel
-from repro.core import Shadow, ShadowConfig
-from repro.mitigations import (
-    BlockHammer,
-    DoubleRefreshRate,
-    Parfm,
-    RandomizedRowSwap,
-    mithril_area,
-    mithril_perf,
-)
-from repro.sim import ExperimentRunner, SystemConfig
+from repro.experiments.engine import Engine, WsRelativePlan, shared_job
+from repro.sim import SystemConfig
+from repro.spec import scheme_spec
 from repro.workloads import mix_blend
 
 HCNT = 4096
 
 
-def activity(mitigation) -> str:
-    parts = []
-    for attr, label in [("total_shuffles", "shuffles"),
-                        ("trr_count", "TRRs"),
-                        ("swaps", "swaps"),
-                        ("throttled_acts", "throttled ACTs")]:
-        value = getattr(mitigation, attr, None)
-        if callable(value):
-            value = value()
-        if value:
-            parts.append(f"{value} {label}")
+def activity(result) -> str:
+    """The scheme's ``mitigation.*`` event counters from the run's
+    metrics summary (shuffles, swaps, throttles, ...)."""
+    counters = result.metrics["metrics"]
+    parts = [f"{value} {name[len('mitigation.'):]}"
+             for name, value in sorted(counters.items())
+             if name.startswith("mitigation.")]
     return ", ".join(parts) or "-"
 
 
 def main() -> None:
-    runner = ExperimentRunner(
-        config=SystemConfig(requests_per_thread=2000, seed=9))
+    config = SystemConfig(requests_per_thread=2000, seed=9)
     profiles = mix_blend(8)
     area = AreaModel()
     comparison_mm2 = area.comparison(hcnt=HCNT)
 
     schemes = {
-        "SHADOW": lambda: Shadow(ShadowConfig(raaimt=64,
-                                              rng_kind="system")),
-        "PARFM": lambda: Parfm.for_hcnt(HCNT),
-        "Mithril-perf": lambda: mithril_perf(HCNT),
-        "Mithril-area": lambda: mithril_area(HCNT),
-        "DRR": DoubleRefreshRate,
-        "BlockHammer": lambda: BlockHammer.for_hcnt(HCNT),
-        "RRS": lambda: RandomizedRowSwap.for_hcnt(HCNT),
+        "SHADOW": scheme_spec("shadow-raw", raaimt=64),
+        "PARFM": scheme_spec("parfm", hcnt=HCNT),
+        "Mithril-perf": scheme_spec("mithril-perf", hcnt=HCNT),
+        "Mithril-area": scheme_spec("mithril-area", hcnt=HCNT),
+        "DRR": scheme_spec("drr"),
+        "BlockHammer": scheme_spec("blockhammer", hcnt=HCNT),
+        "RRS": scheme_spec("rrs", hcnt=HCNT),
     }
+    plan = WsRelativePlan(config)
+    for name, spec in schemes.items():
+        plan.add(name, profiles, spec)
+    results = Engine().run(plan.jobs)
 
     print(f"mix-blend, 8 threads, Hcnt={HCNT}, DDR4-2666")
     print(f"{'scheme':14s} {'rel. perf':>9s}  {'chip area':>10s}  activity")
-    for name, factory in schemes.items():
-        instance = factory()
-        rel = runner.relative_performance(profiles, lambda: factory())
-        shared = runner.run_shared(profiles, lambda: instance)
+    for name, spec in schemes.items():
+        rel = plan.value(name, results)
+        shared = results[shared_job(profiles, spec, config)]
         area_key = {"SHADOW": "SHADOW", "Mithril-perf": "Mithril-perf",
                     "Mithril-area": "Mithril-area",
                     "RRS": "RRS (MC-side)"}.get(name)
         mm2 = f"{comparison_mm2[area_key]:.2f}mm2" if area_key else "~0"
-        print(f"{name:14s} {rel:9.4f}  {mm2:>10s}  {activity(instance)}")
+        print(f"{name:14s} {rel:9.4f}  {mm2:>10s}  {activity(shared)}")
 
     report = area.shadow_report()
     print(f"\nSHADOW silicon: {report.total_mm2:.2f} mm2 "

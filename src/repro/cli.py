@@ -76,15 +76,13 @@ def _run_spec_file(args) -> int:
     import json
 
     from repro.experiments.driver import run_spec
-    from repro.experiments.engine import Engine
-    from repro.experiments.report import report_failures, save_results
+    from repro.experiments.report import (
+        engine_from_args, report_failures, save_results)
     from repro.spec import ExperimentSpec
 
     with open(args.spec) as handle:
         spec = ExperimentSpec.from_dict(json.load(handle))
-    engine = Engine(jobs=args.jobs, use_cache=not args.no_cache,
-                    retries=args.retries, job_timeout=args.job_timeout,
-                    keep_going=args.keep_going)
+    engine = engine_from_args(args)
     results = run_spec(spec, engine=engine)
     print(f"experiment={spec.name} fidelity={spec.fidelity} "
           f"points={len(spec.points)}")
@@ -338,11 +336,9 @@ def cmd_bench(args) -> int:
 def cmd_redteam(args) -> int:
     """Handle ``shadow-repro redteam`` (adversary suite x scheme zoo)."""
     from repro.experiments import redteam
-    from repro.experiments.engine import Engine
-    from repro.experiments.report import report_failures, save_results
-    engine = Engine(jobs=args.jobs, use_cache=not args.no_cache,
-                    retries=args.retries, job_timeout=args.job_timeout,
-                    keep_going=args.keep_going)
+    from repro.experiments.report import (
+        engine_from_args, report_failures, save_results)
+    engine = engine_from_args(args)
     report = redteam.run(args.fidelity, engine=engine, hcnt=args.hcnt,
                          policy=args.policy, seed=args.seed,
                          schemes=args.schemes or None,
@@ -354,20 +350,34 @@ def cmd_redteam(args) -> int:
     return 1 if engine.failures else 0
 
 
-#: Drivers that run on the experiment engine and take its flags.
-ENGINE_EXPERIMENTS = frozenset(
-    ["fig8", "fig9", "fig10", "fig11", "fig12", "ablations",
-     "scheme-matrix", "redteam"])
+#: Experiment name -> its driver module under ``repro.experiments``.
+EXPERIMENTS = {
+    "table2": "table2",
+    "table3": "table3",
+    "fig8": "fig8",
+    "fig9": "fig9",
+    "fig10": "fig10",
+    "fig11": "fig11",
+    "fig12": "fig12",
+    "ablations": "ablations",
+    "extended": "extended",
+    "scheme-matrix": "matrix",
+    "redteam": "redteam",
+}
 
-#: Experiment names whose driver module is not ``repro.experiments.<name>``.
-_EXPERIMENT_MODULES = {"scheme-matrix": "matrix"}
+#: Closed-form drivers: they run no simulation jobs, so the engine's
+#: flags do not apply.  Every other driver runs on the engine.
+ANALYTIC_EXPERIMENTS = frozenset({"table2", "table3"})
+
+ENGINE_EXPERIMENTS = tuple(name for name in EXPERIMENTS
+                           if name not in ANALYTIC_EXPERIMENTS)
 
 
 def cmd_experiment(args) -> int:
     """Handle ``shadow-repro experiment <name>``."""
     import importlib
     module = importlib.import_module(
-        f"repro.experiments.{_EXPERIMENT_MODULES.get(args.name, args.name)}")
+        f"repro.experiments.{EXPERIMENTS[args.name]}")
     if args.dump_spec:
         import json
         if not hasattr(module, "spec"):
@@ -377,25 +387,23 @@ def cmd_experiment(args) -> int:
                 else module.spec())
         print(json.dumps(spec.to_dict(), indent=2, sort_keys=True))
         return 0
-    argv = [args.fidelity] if args.fidelity else []
-    engine_flags_used = (args.jobs != 1 or args.no_cache or args.retries
-                         or args.job_timeout is not None or args.keep_going)
-    if args.name in ENGINE_EXPERIMENTS:
-        if args.jobs != 1:
-            argv += ["--jobs", str(args.jobs)]
-        if args.no_cache:
-            argv.append("--no-cache")
-        if args.retries:
-            argv += ["--retries", str(args.retries)]
-        if args.job_timeout is not None:
-            argv += ["--job-timeout", str(args.job_timeout)]
-        if args.keep_going:
-            argv.append("--keep-going")
-    elif engine_flags_used:
+    engine_flags = []
+    if args.jobs != 1:
+        engine_flags += ["--jobs", str(args.jobs)]
+    if args.no_cache:
+        engine_flags.append("--no-cache")
+    if args.retries:
+        engine_flags += ["--retries", str(args.retries)]
+    if args.job_timeout is not None:
+        engine_flags += ["--job-timeout", str(args.job_timeout)]
+    if args.keep_going:
+        engine_flags.append("--keep-going")
+    if engine_flags and args.name in ANALYTIC_EXPERIMENTS:
         raise SystemExit(f"--jobs/--no-cache/--retries/--job-timeout/"
                          f"--keep-going only apply to "
-                         f"{sorted(ENGINE_EXPERIMENTS)}")
-    sys.argv = [args.name] + argv
+                         f"{', '.join(ENGINE_EXPERIMENTS)}")
+    sys.argv = ([args.name] + ([args.fidelity] if args.fidelity else [])
+                + engine_flags)
     module.main()
     return 0
 
@@ -520,14 +528,11 @@ def build_parser() -> argparse.ArgumentParser:
     tmpl_p.set_defaults(func=cmd_templating)
 
     exp_p = sub.add_parser("experiment", help="run a table/figure driver")
-    exp_p.add_argument("name", choices=["table2", "table3", "fig8",
-                                        "fig9", "fig10", "fig11",
-                                        "fig12", "ablations", "extended",
-                                        "scheme-matrix", "redteam"])
+    exp_p.add_argument("name", choices=list(EXPERIMENTS))
     exp_p.add_argument("fidelity", nargs="?", choices=["smoke", "full"])
     exp_p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes for engine-backed drivers "
-                            "(fig8-fig12, ablations)")
+                       help=f"worker processes for engine-backed drivers "
+                            f"({', '.join(ENGINE_EXPERIMENTS)})")
     exp_p.add_argument("--no-cache", action="store_true",
                        help="bypass the persistent result cache")
     _add_fault_tolerance_flags(exp_p, "for engine-backed drivers")

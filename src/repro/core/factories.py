@@ -15,6 +15,7 @@ from __future__ import annotations
 from repro.core.config import ShadowConfig, secure_raaimt
 from repro.core.pairing import CircuitTimings
 from repro.core.shadow import Shadow
+from repro.mitigations.filtered import FilteredRfm
 from repro.spec.registry import SCHEMES
 
 
@@ -66,9 +67,23 @@ def make_shadow_raw(raaimt: int, rng_kind: str = "system",
                                rng_seed=seed))
 
 
+@SCHEMES.register("shadow-filtered")
+def make_shadow_filtered(hcnt: int, hazard_threshold: int,
+                         seed: int = 1) -> FilteredRfm:
+    """SHADOW behind the Section VIII hazard filter.
+
+    ``hazard_threshold`` has no default on purpose: the scheme is not
+    buildable from ``hcnt`` alone, so it stays out of the ``hcnt``
+    sweeps (scheme matrix, red-team, CLI ``--scheme``) and only runs
+    where a driver chooses the threshold.
+    """
+    return FilteredRfm(make_shadow(hcnt, seed), hazard_threshold)
+
+
 __all__ = [
     "make_shadow",
     "make_shadow_ablate",
+    "make_shadow_filtered",
     "make_shadow_raw",
     "make_shadow_with_trcd",
 ]

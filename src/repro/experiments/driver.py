@@ -160,23 +160,39 @@ class _RelativePower:
             shadow=rp.params.get("shadow", True))
 
 
-class _RfmPerRef:
-    """RFM commands normalised to refreshes in one run (Fig. 12)."""
+class _SchemeRunValue:
+    """A value read off the shared scheme run alone, no baseline."""
+
+    def __init__(self, read):
+        self._read = read
 
     def plan(self, rp):
         return {"scheme": shared_job(rp.profiles, rp.point.scheme,
                                      rp.config)}
 
     def value(self, rp, plan, results):
-        counts = command_counts(results[plan["scheme"]])
-        return counts.rfms / max(1, counts.refreshes)
+        return self._read(results[plan["scheme"]])
+
+
+def _rfms_filtered(result: JobResult) -> int:
+    # Workers run with metrics on, so the counter is in every payload
+    # that has a summary; it is absent when no RFM was ever filtered.
+    # Cache entries written before JobResult carried a summary predate
+    # the filtered scheme, so they filtered nothing.
+    summary = result.metrics or {}
+    return summary.get("metrics", {}).get("mitigation.rfm-filtered", 0)
 
 
 METRICS.register("ws-relative", _WsRelative())
 METRICS.register("st-relative", _StRelative())
 METRICS.register("mt-relative", _MtRelative())
 METRICS.register("relative-power", _RelativePower())
-METRICS.register("rfm-per-ref", _RfmPerRef())
+#: RFM commands normalised to refreshes in one run (Fig. 12).
+METRICS.register("rfm-per-ref", _SchemeRunValue(
+    lambda result: result.rfms / max(1, result.refreshes)))
+#: The extended sweep's RFM columns.
+METRICS.register("rfms", _SchemeRunValue(lambda result: result.rfms))
+METRICS.register("rfms-filtered", _SchemeRunValue(_rfms_filtered))
 
 
 # -- the interpreter ---------------------------------------------------------------
@@ -287,7 +303,8 @@ def run_spec(spec: ExperimentSpec, engine: Optional[Engine] = None,
 def main(argv: Optional[List[str]] = None) -> None:
     """Run a serialized experiment spec: ``driver SPEC.json``."""
     import argparse
-    from repro.experiments.report import report_failures, save_results
+    from repro.experiments.report import (
+        engine_from_args, report_failures, save_results)
     parser = argparse.ArgumentParser(
         prog="driver", description="run a serialized experiment spec")
     parser.add_argument("spec", help="path to an ExperimentSpec JSON file")
@@ -308,9 +325,7 @@ def main(argv: Optional[List[str]] = None) -> None:
     args = parser.parse_args(argv)
     with open(args.spec) as handle:
         spec = ExperimentSpec.from_dict(json.load(handle))
-    engine = Engine(jobs=args.jobs, use_cache=not args.no_cache,
-                    retries=args.retries, job_timeout=args.job_timeout,
-                    keep_going=args.keep_going)
+    engine = engine_from_args(args)
     results = run_spec(spec, engine=engine)
     report_failures(engine)
     print("engine:", engine.stats.summary())

@@ -70,10 +70,6 @@ from typing import (
     Any, Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple,
 )
 
-from repro.experiments.schemes import (
-    BLOCKHAMMER_HISTORY_SCALE,
-    BLOCKHAMMER_RATE_SCALE,
-)
 from repro.obs import MetricRegistry
 from repro.sim.metrics import relative_weighted_speedup
 from repro.sim.system import System, SystemConfig, SystemResult
@@ -97,6 +93,17 @@ def rfm_scheme_specs(hcnt: int,
                                     radius=blast_radius),
         "DRR": scheme_spec("drr"),
     }
+
+
+#: Steady-state correction for BlockHammer's epoch-length blacklist
+#: counters: our runs cover roughly 1% of a CBF epoch (see
+#: BlockHammerConfig.history_scale).
+BLOCKHAMMER_HISTORY_SCALE = 100.0
+
+#: Trace-rate normalization for BlockHammer's throttle (see
+#: BlockHammerConfig.rate_scale): the synthetic hot rows run about an
+#: order of magnitude hotter than the benign applications they model.
+BLOCKHAMMER_RATE_SCALE = 10.0
 
 
 def archsim_scheme_specs(hcnt: int) -> Dict[str, SchemeSpec]:

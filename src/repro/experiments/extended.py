@@ -1,33 +1,38 @@
 """Extended comparison: every registered scheme on one mix.
 
-Beyond the paper's figure sets: the comparison set is drawn from the
-central scheme registry (:data:`repro.spec.SCHEMES`), so it includes
-Graphene, stand-alone PARA, the post-paper MINT and DAPPER trackers,
-and every future scheme that registers an ``hcnt``-buildable factory --
-no table here to keep in sync.  The Section VIII filtered-RFM variant
-of SHADOW is the one composite added by hand (it wraps another scheme,
-so it has no stand-alone registry entry).  Used to sanity-check that
-the whole mitigation zoo behaves sensibly side by side, and to quantify
-how many RFMs the hazard filter saves on benign traffic.
+Beyond the paper's figure sets: the comparison set is the scheme
+matrix's (:func:`repro.experiments.matrix.matrix_schemes` -- every
+registry entry buildable from ``hcnt`` alone), so it includes Graphene,
+stand-alone PARA, the post-paper MINT and DAPPER trackers, and every
+future scheme that registers an ``hcnt``-buildable factory -- no table
+here to keep in sync.  The Section VIII filtered-RFM variant of SHADOW
+(``shadow-filtered``) is the one row added by hand: its hazard
+threshold is chosen here.  Used to sanity-check that the whole
+mitigation zoo behaves sensibly side by side, and to quantify how many
+RFMs the hazard filter saves on benign traffic.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.core.config import secure_raaimt
 from repro.experiments.configs import DEFAULT_HCNT, fidelity_config
-from repro.experiments.report import format_table, save_results
-from repro.mitigations import FilteredRfm
-from repro.sim.runner import ExperimentRunner
+from repro.experiments.driver import run_spec
+from repro.experiments.engine import Engine
+from repro.experiments.matrix import matrix_schemes
+from repro.experiments.report import (
+    driver_arg_parser,
+    engine_from_args,
+    format_table,
+    report_failures,
+    save_results,
+)
+from repro.spec import ExperimentSpec, PointSpec, scheme_spec, workload_spec
 from repro.spec.registry import SCHEMES
-from repro.workloads import mix_blend
 
-#: Registry name -> table label.  Names absent from this map print as
-#: registered; names mapped to ``None`` are excluded from the sweep.
+#: Registry name -> table label; names absent here print as registered.
 _DISPLAY = {
-    "none": None,           # the normalization baseline, not a scheme row
-    "shadow-ablate": None,  # identical to "shadow" at default toggles
     "shadow": "SHADOW",
     "parfm": "PARFM",
     "para": "PARA",
@@ -41,60 +46,61 @@ _DISPLAY = {
     "dapper": "DAPPER",
 }
 
-
-def scheme_factories(hcnt: int) -> Dict[str, callable]:
-    """Fresh-instance factories for every ``hcnt``-buildable scheme.
-
-    Driven by the scheme registry: anything constructible from ``hcnt``
-    alone (the same criterion the CLI uses) gets a row, built exactly
-    as the CLI and cached experiment jobs build it.
-    """
-    factories: Dict[str, callable] = {}
-    for name in SCHEMES.names():
-        label = _DISPLAY.get(name, name)
-        if label is None or not SCHEMES.accepts(name, "hcnt"):
-            continue
-        params = SCHEMES.buildable_params(name, {"hcnt": hcnt})
-        factories[label] = lambda n=name, p=params: SCHEMES.build(n, **p)
-
-    raaimt = secure_raaimt(hcnt)
-    factories["SHADOW+filter"] = lambda: FilteredRfm(
-        factories["SHADOW"](), hazard_threshold=max(8, raaimt // 4))
-    return factories
+#: Each row's output column -> the metric that fills it.
+_COLUMNS = {
+    "relative_performance": "ws-relative",
+    "rfms": "rfms",
+    "rfms_filtered": "rfms-filtered",
+}
 
 
-def run(fidelity: str = "smoke", hcnt: int = DEFAULT_HCNT) -> Dict:
-    """Run the all-schemes comparison; returns the result dict."""
+def spec(fidelity: str = "smoke",
+         hcnt: int = DEFAULT_HCNT) -> ExperimentSpec:
+    """The sweep as data: three columns per scheme row."""
     fc = fidelity_config(fidelity)
-    runner = ExperimentRunner(config=fc.system_config())
-    profiles = mix_blend(fc.threads)
-    rows: Dict[str, Dict[str, float]] = {}
-    for name, factory in scheme_factories(hcnt).items():
-        instance = factory()
-        rel = runner.relative_performance(profiles, factory)
-        shared = runner.run_shared(profiles, lambda: instance)
-        rows[name] = {
-            "relative_performance": rel,
-            "rfms": shared.rfms,
-            "rfms_filtered": getattr(instance, "rfms_filtered", 0),
-        }
-    return {"experiment": "extended", "fidelity": fidelity,
-            "hcnt": hcnt, "schemes": rows}
+    sim = fc.sim_spec()
+    workload = workload_spec("mix-blend", threads=fc.threads)
+    rows = {
+        _DISPLAY.get(name, name): scheme_spec(
+            name, **SCHEMES.buildable_params(name, {"hcnt": hcnt}))
+        for name in matrix_schemes()
+    }
+    rows["SHADOW+filter"] = scheme_spec(
+        "shadow-filtered", hcnt=hcnt,
+        hazard_threshold=max(8, secure_raaimt(hcnt) // 4))
+    points = [
+        PointSpec(metric, ("schemes", label, column),
+                  workload=workload, scheme=scheme, sim=sim)
+        for label, scheme in rows.items()
+        for column, metric in _COLUMNS.items()
+    ]
+    return ExperimentSpec("extended", fidelity, points,
+                          meta={"hcnt": hcnt})
+
+
+def run(fidelity: str = "smoke", jobs: int = 1,
+        engine: Optional[Engine] = None) -> Dict:
+    """Run the all-schemes comparison; returns the result dict."""
+    return run_spec(spec(fidelity), engine=engine, jobs=jobs)
 
 
 def main() -> None:
     """Console entry point: print the comparison table."""
-    import sys
-    fidelity = sys.argv[1] if len(sys.argv) > 1 else "full"
-    results = run(fidelity)
-    table = [[name, vals["relative_performance"], vals["rfms"],
-              vals["rfms_filtered"]]
-             for name, vals in results["schemes"].items()]
-    print(format_table(
-        ["scheme", "rel. perf", "RFMs", "RFMs filtered"], table,
-        title=f"Extended comparison on mix-blend "
-              f"(Hcnt={results['hcnt']}, {fidelity})"))
-    print("saved:", save_results(f"extended_{fidelity}", results))
+    args = driver_arg_parser("extended").parse_args()
+    engine = engine_from_args(args)
+    results = run(args.fidelity, jobs=args.jobs, engine=engine)
+    if not report_failures(engine):
+        table = [[name, vals["relative_performance"], vals["rfms"],
+                  vals["rfms_filtered"]]
+                 for name, vals in results["schemes"].items()]
+        print(format_table(
+            ["scheme", "rel. perf", "RFMs", "RFMs filtered"], table,
+            title=f"Extended comparison on mix-blend "
+                  f"(Hcnt={results['hcnt']}, {args.fidelity})"))
+    print("engine:", engine.stats.summary())
+    print("saved:", save_results(f"extended_{args.fidelity}", results))
+    if engine.failures:
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

@@ -30,8 +30,8 @@ from repro.experiments.engine import (
 )
 from repro.dram.device import DramGeometry
 from repro.dram.subarray import SubarrayLayout
-from repro.mitigations import NoMitigation
-from repro.sim import ExperimentRunner, SystemConfig
+from repro.mitigations import DoubleRefreshRate, NoMitigation
+from repro.sim import System, SystemConfig, weighted_speedup
 from repro.utils.cache import ResultCache, canonical_json, spec_digest
 from repro.workloads import SPEC_PROFILES, mix_high
 
@@ -305,19 +305,28 @@ class TestEngine:
 
 class TestWsRelativePlan:
     def test_matches_experiment_runner(self, tmp_path):
-        """The engine path reproduces the serial runner's ratios."""
+        """The engine's ratio equals the serial recipe recomputed without
+        the engine: alone runs under ``none``, the shared scheme run and
+        the shared ``none`` run, fed to ``weighted_speedup``."""
         config = small_config()
         profiles = mix_high(2)
-        spec = scheme_spec("drr")
         plan = WsRelativePlan(config)
-        plan.add("drr", profiles, spec)
+        plan.add("drr", profiles, scheme_spec("drr"))
+        plan.add("none", profiles, BASELINE)
         results = Engine(cache_dir=str(tmp_path)).run(plan.jobs)
-        engine_value = plan.value("drr", results)
-        runner = ExperimentRunner(config=config)
-        from repro.mitigations import DoubleRefreshRate
-        serial_value = runner.relative_performance(
-            profiles, DoubleRefreshRate)
-        assert engine_value == pytest.approx(serial_value, rel=0, abs=0)
+
+        def finish(profiles, mitigation):
+            return System(list(profiles), mitigation,
+                          config=config).run().thread_finish_cycles
+
+        alone = [finish([p], NoMitigation())[0] for p in profiles]
+        ws_drr = weighted_speedup(alone,
+                                  finish(profiles, DoubleRefreshRate()))
+        ws_none = weighted_speedup(alone, finish(profiles, NoMitigation()))
+        # Sharing the channel never beats running alone.
+        assert 0.5 < ws_none <= len(profiles)
+        assert plan.value("drr", results) == ws_drr / ws_none
+        assert plan.value("none", results) == 1.0
 
     def test_baseline_jobs_shared_between_labels(self):
         config = small_config()
@@ -329,6 +338,29 @@ class TestWsRelativePlan:
         # shared runs differ.
         distinct_profiles = len(set(profiles))
         assert len(plan.jobs) == distinct_profiles + 1 + 2
+
+
+class TestExtendedMetrics:
+    def test_rfm_counts_match_a_direct_run(self, tmp_path):
+        """``rfms``/``rfms-filtered`` read the engine's shared run the
+        way a direct run's instance counts them."""
+        from repro.experiments.driver import METRICS, ResolvedPoint
+        from repro.spec import PointSpec
+        config = small_config()
+        profiles = tuple(mix_high(2))
+        spec = scheme_spec("shadow-filtered", hcnt=512, hazard_threshold=8)
+        instance = spec.build()
+        direct = System(list(profiles), instance, config=config).run()
+        assert instance.rfms_filtered > 0
+
+        for metric, expected in (("rfms", direct.rfms),
+                                 ("rfms-filtered", instance.rfms_filtered)):
+            rp = ResolvedPoint(PointSpec(metric, ("x",), scheme=spec),
+                               profiles, config, {})
+            plan = METRICS.resolve(metric).plan(rp)
+            results = Engine(cache_dir=str(tmp_path)).run(plan.values())
+            assert METRICS.resolve(metric).value(rp, plan, results) \
+                == expected
 
 
 class TestFig8OnEngine:
@@ -616,37 +648,6 @@ class TestEnvFaultInjection:
                         BASELINE, small_config())
         results = Engine(jobs=1, cache_dir=str(tmp_path)).run([job])
         assert results[job].requests_issued == 120
-
-
-class TestRunnerBugfixes:
-    def test_run_alone_does_not_rebuild_probe(self):
-        """Resolving the cache key must not construct mitigations."""
-        built = []
-
-        def factory():
-            built.append(1)
-            return NoMitigation()
-
-        runner = ExperimentRunner(config=small_config())
-        p = SPEC_PROFILES["xz"]
-        runner.run_alone(p, factory)
-        # One probe (name resolution) + one simulated instance.
-        assert len(built) == 2
-        runner.run_alone(p, factory)                   # cache hit
-        assert len(built) == 2
-        runner.run_alone(SPEC_PROFILES["gcc"], factory)  # new profile
-        assert len(built) == 3
-
-    def test_run_alone_uses_persistent_cache(self, tmp_path):
-        config = small_config()
-        p = SPEC_PROFILES["xz"]
-        first = ExperimentRunner(config=config,
-                                 cache=ResultCache(str(tmp_path)))
-        cycles = first.run_alone(p, NoMitigation)
-        fresh = ExperimentRunner(config=config,
-                                 cache=ResultCache(str(tmp_path)))
-        assert fresh.run_alone(p, NoMitigation) == cycles
-        assert fresh.cache.hits == 1
 
 
 class TestConfigsBugfix:

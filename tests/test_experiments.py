@@ -8,12 +8,8 @@ import pytest
 from repro.experiments import fidelity_config
 from repro.experiments import table2, table3
 from repro.experiments.report import format_table, save_results, scientific
-from repro.experiments.schemes import (
-    archsim_scheme_factories,
-    make_shadow,
-    make_shadow_with_trcd,
-    rfm_scheme_factories,
-)
+from repro.core.factories import make_shadow, make_shadow_with_trcd
+from repro.experiments.engine import archsim_scheme_specs, rfm_scheme_specs
 from repro.dram.device import DramGeometry
 from repro.dram.timing import DDR4_2666
 
@@ -79,14 +75,12 @@ class TestFidelity:
 
 class TestSchemeFactories:
     def test_rfm_set_complete(self):
-        factories = rfm_scheme_factories(4096)
-        assert set(factories) == {"SHADOW", "PARFM", "Mithril-perf",
-                                  "Mithril-area", "DRR"}
-        # Fresh instances each call.
-        assert factories["SHADOW"]() is not factories["SHADOW"]()
+        assert set(rfm_scheme_specs(4096)) == {"SHADOW", "PARFM",
+                                               "Mithril-perf",
+                                               "Mithril-area", "DRR"}
 
     def test_archsim_set_complete(self):
-        assert set(archsim_scheme_factories(4096)) == \
+        assert set(archsim_scheme_specs(4096)) == \
             {"SHADOW", "BlockHammer", "RRS"}
 
     def test_shadow_trcd_override(self):
@@ -121,3 +115,46 @@ class TestAnalyticDrivers:
                                         "tWR_RM", "tRD_RM"}
         assert results["shuffle_total_ns"]["DDR4-2666"] == \
             pytest.approx(178, abs=4)
+
+
+class TestExtended:
+    def test_one_row_per_matrix_scheme_plus_filter(self):
+        from repro.experiments import extended
+        from repro.experiments.matrix import matrix_schemes
+        spec = extended.spec("smoke")
+        rows = {point.group[1]: point.scheme for point in spec.points}
+        assert len(rows) == len(matrix_schemes()) + 1
+        assert (sorted(s.kind for s in rows.values())
+                == sorted(matrix_schemes() + ["shadow-filtered"]))
+        assert rows["SHADOW+filter"].kind == "shadow-filtered"
+        assert dict(spec.meta) == {"hcnt": extended.DEFAULT_HCNT}
+
+    def test_filtered_scheme_stays_out_of_hcnt_sweeps(self):
+        from repro.cli import cli_scheme_names
+        from repro.experiments.matrix import matrix_schemes
+        from repro.experiments.redteam import redteam_schemes
+        for names in (matrix_schemes(), redteam_schemes("full"),
+                      cli_scheme_names()):
+            assert "shadow" in names
+            assert "shadow-filtered" not in names
+
+
+class TestExperimentCommand:
+    def test_analytic_drivers_reject_engine_flags(self):
+        from repro.cli import main
+        for flag in (["--jobs", "2"], ["--no-cache"], ["--keep-going"]):
+            with pytest.raises(SystemExit):
+                main(["experiment", "table2", *flag])
+
+    def test_engine_flags_reach_extended(self, monkeypatch):
+        import sys
+        from repro.cli import main
+        from repro.experiments import extended
+        seen = []
+        monkeypatch.setattr(sys, "argv", ["pytest"])
+        monkeypatch.setattr(extended, "main",
+                            lambda: seen.append(list(sys.argv)))
+        assert main(["experiment", "extended", "smoke", "--jobs", "2",
+                     "--no-cache"]) == 0
+        assert seen == [["extended", "smoke", "--jobs", "2",
+                         "--no-cache"]]

@@ -1,4 +1,4 @@
-"""Core model, system loop, metrics, and runner."""
+"""Core model, system loop and metrics."""
 
 import pytest
 
@@ -7,9 +7,9 @@ from repro.controller.request import MemoryRequest
 from repro.core import Shadow, ShadowConfig
 from repro.dram.device import DramGeometry
 from repro.dram.subarray import SubarrayLayout
+from repro.experiments.engine import BASELINE, Engine, WsRelativePlan
 from repro.mitigations import DoubleRefreshRate, NoMitigation
 from repro.sim import (
-    ExperimentRunner,
     System,
     SystemConfig,
     normalized_performance,
@@ -203,31 +203,23 @@ class TestMetrics:
 
 
 class TestRunner:
-    def test_alone_cache_hits(self):
-        runner = ExperimentRunner(config=small_config())
-        p = SPEC_PROFILES["xz"]
-        a = runner.run_alone(p, NoMitigation)
-        b = runner.run_alone(p, NoMitigation)
-        assert a == b
-        assert len(runner._alone_cache) == 1
+    """Weighted-speedup experiment runs: direct System runs and the
+    engine's ``ws-relative`` plan."""
 
     def test_run_result_weighted_speedup(self):
-        runner = ExperimentRunner(config=small_config())
-        result = runner.run([SPEC_PROFILES["xz"], SPEC_PROFILES["gcc"]])
+        config = small_config()
+        profiles = [SPEC_PROFILES["xz"], SPEC_PROFILES["gcc"]]
+        alone = [System([p], NoMitigation(), config=config).run()
+                 .thread_finish_cycles[0] for p in profiles]
+        shared = System(profiles, NoMitigation(),
+                        config=config).run().thread_finish_cycles
+        ws = weighted_speedup(alone, shared)
         # Shared execution is never faster than running alone.
-        assert result.weighted_speedup <= 2.0 + 1e-9
-        assert result.weighted_speedup > 0.5
+        assert ws <= 2.0 + 1e-9
+        assert ws > 0.5
 
-    def test_relative_performance_close_to_one_for_noop(self):
-        runner = ExperimentRunner(config=small_config())
-        rel = runner.relative_performance(
-            [SPEC_PROFILES["xz"]], NoMitigation, NoMitigation)
-        assert rel == pytest.approx(1.0)
-
-    def test_single_thread_relative(self):
-        runner = ExperimentRunner(config=small_config())
-        rel = runner.single_thread_relative(
-            SPEC_PROFILES["gcc"],
-            lambda: Shadow(ShadowConfig(raaimt=32, rng_kind="system")))
-        # SHADOW costs a little but never approaches DRR-level overhead.
-        assert 0.9 < rel <= 1.001
+    def test_relative_performance_close_to_one_for_noop(self, tmp_path):
+        plan = WsRelativePlan(small_config())
+        plan.add("none", [SPEC_PROFILES["xz"]], BASELINE)
+        results = Engine(cache_dir=str(tmp_path)).run(plan.jobs)
+        assert plan.value("none", results) == pytest.approx(1.0)
