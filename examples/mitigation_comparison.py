@@ -10,10 +10,15 @@ Run:  python examples/mitigation_comparison.py
 """
 
 from repro.analysis.area import AreaModel
-from repro.experiments.engine import Engine, WsRelativePlan, shared_job
-from repro.sim import SystemConfig
-from repro.spec import scheme_spec
-from repro.workloads import mix_blend
+from repro.experiments.driver import run_spec
+from repro.experiments.engine import Engine, shared_job
+from repro.spec import (
+    ExperimentSpec,
+    PointSpec,
+    SimSpec,
+    scheme_spec,
+    workload_spec,
+)
 
 HCNT = 4096
 
@@ -29,8 +34,8 @@ def activity(result) -> str:
 
 
 def main() -> None:
-    config = SystemConfig(requests_per_thread=2000, seed=9)
-    profiles = mix_blend(8)
+    workload = workload_spec("mix-blend", threads=8)
+    sim = SimSpec(requests=2000, seed=9)
     area = AreaModel()
     comparison_mm2 = area.comparison(hcnt=HCNT)
 
@@ -43,21 +48,27 @@ def main() -> None:
         "BlockHammer": scheme_spec("blockhammer", hcnt=HCNT),
         "RRS": scheme_spec("rrs", hcnt=HCNT),
     }
-    plan = WsRelativePlan(config)
-    for name, spec in schemes.items():
-        plan.add(name, profiles, spec)
-    results = Engine().run(plan.jobs)
+    engine = Engine()
+    rel = run_spec(ExperimentSpec("mitigation-comparison", points=tuple(
+        PointSpec("ws-relative", (name,), workload=workload, scheme=spec,
+                  sim=sim)
+        for name, spec in schemes.items())), engine)
+    # The shared scheme runs again for their activity counters: cache
+    # hits, since run_spec just ran the same jobs.
+    profiles, config = workload.build(), sim.to_system_config()
+    jobs = {name: shared_job(profiles, spec, config)
+            for name, spec in schemes.items()}
+    shared = engine.run(jobs.values())
 
     print(f"mix-blend, 8 threads, Hcnt={HCNT}, DDR4-2666")
     print(f"{'scheme':14s} {'rel. perf':>9s}  {'chip area':>10s}  activity")
-    for name, spec in schemes.items():
-        rel = plan.value(name, results)
-        shared = results[shared_job(profiles, spec, config)]
+    for name in schemes:
+        result = shared[jobs[name]]
         area_key = {"SHADOW": "SHADOW", "Mithril-perf": "Mithril-perf",
                     "Mithril-area": "Mithril-area",
                     "RRS": "RRS (MC-side)"}.get(name)
         mm2 = f"{comparison_mm2[area_key]:.2f}mm2" if area_key else "~0"
-        print(f"{name:14s} {rel:9.4f}  {mm2:>10s}  {activity(shared)}")
+        print(f"{name:14s} {rel[name]:9.4f}  {mm2:>10s}  {activity(result)}")
 
     report = area.shadow_report()
     print(f"\nSHADOW silicon: {report.total_mm2:.2f} mm2 "

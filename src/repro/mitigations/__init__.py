@@ -34,7 +34,6 @@ from repro.mitigations.compose import (
     RefWindowResetMixin,
     Scope,
     ThrottleMixin,
-    Tracker,
     TrackerSpec,
 )
 from repro.mitigations.dapper import Dapper
@@ -54,6 +53,7 @@ from repro.mitigations.trackers import (
     MintSampler,
     MisraGries,
     ResilientMisraGries,
+    Tracker,
 )
 
 # -- spec-registry entries ---------------------------------------------------------

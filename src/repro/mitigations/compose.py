@@ -4,7 +4,8 @@ Every tracker-based Row Hammer defense in the paper's evaluation is the
 same machine seen three ways:
 
 * a **Tracker** observes the ACT stream in a bounded structure and
-  answers queries -- estimate, hottest entry, or a sampled row;
+  answers queries -- estimate, hottest entry, or a sampled row (the
+  protocol and every structure live in ``trackers.py``);
 * an **ActionPolicy** turns those answers into one of the Section III
   mitigating actions: synchronous TRR (Graphene), RFM-hosted TRR
   (Mithril, PARFM, MINT, DAPPER), ACT throttling (BlockHammer), or row
@@ -14,12 +15,13 @@ same machine seen three ways:
   epoch, or never).
 
 :class:`ComposedMitigation` is the glue: schemes declare the triple and
-inherit the per-scope state management, the hook plumbing, and tracker
-telemetry (reset/query counters, occupancy and spill snapshots routed
-through the standard mitigation-event channel into ``repro.obs``).
-Adding a mitigation becomes one file: a tracker adapter (if the
-structure is new), a policy (if the action is new), and a class naming
-the composition -- see ``mint.py`` and ``dapper.py``.
+inherit the per-scope state management, the hook plumbing, and the
+``tracker-reset`` event (occupancy and spill at each scope reset,
+routed through the standard mitigation-event channel into
+``repro.obs``).  Adding a mitigation becomes one file: a tracking
+structure (if it is new; it subclasses :class:`Tracker` and registers
+itself), a policy (if the action is new), and a class naming the
+composition -- see ``mint.py`` and ``dapper.py``.
 
 Hot-path discipline: the memory controller hoists per-scheme feature
 gates by checking ``type(m).hook is not Mitigation.hook`` (see
@@ -36,282 +38,13 @@ golden command streams byte-identical across the refactor.
 from __future__ import annotations
 
 import abc
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional, Tuple
 
 from repro.dram.device import BankAddress
 from repro.mitigations.base import ActOutcome, Mitigation, RfmOutcome
-from repro.mitigations.trackers import (
-    CounterSummary,
-    CountMinSketch,
-    DualCountingBloomFilter,
-    MintSampler,
-    MisraGries,
-    ResilientMisraGries,
-)
+from repro.mitigations.trackers import Tracker
 from repro.spec.registry import POLICIES, TRACKERS
-
-
-# -- the Tracker protocol ------------------------------------------------------------
-
-class Tracker(abc.ABC):
-    """Uniform protocol over the structures in ``trackers.py``.
-
-    ``observe`` counts one occurrence and may return the key's fresh
-    estimate when that is free (Misra-Gries does; sketches return None
-    rather than pay extra hash reads on the hot path).  Queries a
-    structure cannot answer fall back to safe defaults: no hottest
-    entry, no sample, estimate 0.
-    """
-
-    kind = "tracker"
-
-    @abc.abstractmethod
-    def observe(self, key: int, cycle: int = 0) -> Optional[int]:
-        """Count one occurrence of ``key``; optionally return its
-        estimate."""
-
-    def estimate(self, key: int, cycle: int = 0) -> int:
-        return 0
-
-    def hottest(self) -> Optional[Tuple[int, int]]:
-        """The (key, count) a deterministic policy should mitigate."""
-        return None
-
-    def sample(self, rng) -> Optional[int]:
-        """A row drawn from the tracked window (sampling policies)."""
-        return None
-
-    def reset_key(self, key: int) -> None:
-        """Forget ``key``'s accumulated count after mitigating it."""
-
-    def settle(self, key: int) -> None:
-        """Sink ``key`` below the table floor after mitigating it."""
-
-    def window_reset(self) -> None:
-        """Scope-cadence reset (REF window / RFM).  Defaults to a full
-        clear; resilient trackers may decay instead."""
-        self.clear()
-
-    def clear(self) -> None:
-        """Drop all state."""
-
-    def occupancy(self) -> int:
-        """Entries currently held (telemetry)."""
-        return 0
-
-    def spillover(self) -> int:
-        """Evicted/uncounted mass the structure admits (telemetry)."""
-        return 0
-
-
-@TRACKERS.register("misra-gries")
-class MisraGriesTracker(Tracker):
-    """Heavy-hitters table with spillover floor (Graphene, RRS)."""
-
-    kind = "misra-gries"
-
-    def __init__(self, entries: int):
-        self.inner = MisraGries(entries)
-
-    def observe(self, key: int, cycle: int = 0) -> int:
-        return self.inner.observe(key)
-
-    def estimate(self, key: int, cycle: int = 0) -> int:
-        return self.inner.estimate(key)
-
-    def hottest(self) -> Optional[Tuple[int, int]]:
-        return self.inner.max_entry()
-
-    def reset_key(self, key: int) -> None:
-        self.inner.reset_key(key)
-
-    def clear(self) -> None:
-        self.inner.clear()
-
-    def occupancy(self) -> int:
-        return len(self.inner.counts)
-
-    def spillover(self) -> int:
-        return self.inner.spill
-
-
-@TRACKERS.register("counter-summary")
-class CounterSummaryTracker(Tracker):
-    """Mithril's CbS: min-inheriting bounded counter table."""
-
-    kind = "counter-summary"
-
-    def __init__(self, entries: int):
-        self.inner = CounterSummary(entries)
-
-    def observe(self, key: int, cycle: int = 0) -> None:
-        self.inner.observe(key)
-        return None
-
-    def estimate(self, key: int, cycle: int = 0) -> int:
-        return self.inner.counts.get(key, self.inner.floor())
-
-    def hottest(self) -> Optional[Tuple[int, int]]:
-        return self.inner.hottest()
-
-    def settle(self, key: int) -> None:
-        self.inner.settle(key)
-
-    def clear(self) -> None:
-        self.inner.clear()
-
-    def occupancy(self) -> int:
-        return len(self.inner.counts)
-
-    def spillover(self) -> int:
-        return self.inner.floor()
-
-
-@TRACKERS.register("dcbf")
-class DcbfTracker(Tracker):
-    """BlockHammer's dual counting Bloom filter.
-
-    Epoch cadence lives *inside* the structure (it rotates on the cycle
-    stamps it is fed), so schemes declare ``Scope(reset="epoch")`` for
-    documentation while the composition layer performs no reset calls.
-    """
-
-    kind = "dcbf"
-
-    def __init__(self, width: int, epoch_cycles: int, depth: int = 4):
-        self.inner = DualCountingBloomFilter(width, epoch_cycles, depth)
-
-    def observe(self, key: int, cycle: int = 0) -> None:
-        self.inner.observe(key, cycle)
-        return None
-
-    def estimate(self, key: int, cycle: int = 0) -> int:
-        return self.inner.estimate(key, cycle)
-
-    def spillover(self) -> int:
-        return self.inner.rotations
-
-
-@TRACKERS.register("count-min")
-class CountMinTracker(Tracker):
-    """Plain count-min sketch (the RFM-filter extension's counter)."""
-
-    kind = "count-min"
-
-    def __init__(self, width: int, depth: int = 4):
-        self.inner = CountMinSketch(width, depth)
-
-    def observe(self, key: int, cycle: int = 0) -> None:
-        self.inner.add(key)
-        return None
-
-    def estimate(self, key: int, cycle: int = 0) -> int:
-        return self.inner.estimate(key)
-
-    def clear(self) -> None:
-        self.inner.clear()
-
-
-@TRACKERS.register("recent-history")
-class RecentHistoryTracker(Tracker):
-    """PARFM's sampling window: the last ``depth`` activated rows."""
-
-    kind = "recent-history"
-
-    def __init__(self, depth: int):
-        if depth <= 0:
-            raise ValueError("depth must be positive")
-        self._items = deque(maxlen=depth)
-
-    def observe(self, key: int, cycle: int = 0) -> None:
-        self._items.append(key)
-        return None
-
-    def sample(self, rng) -> Optional[int]:
-        if not self._items:
-            return None
-        return self._items[rng.randrange(len(self._items))]
-
-    def clear(self) -> None:
-        self._items.clear()
-
-    def occupancy(self) -> int:
-        return len(self._items)
-
-
-@TRACKERS.register("mint")
-class MintTracker(Tracker):
-    """MINT's single-entry sampler; selection is pre-committed inside
-    the window, so :meth:`sample` consumes no randomness."""
-
-    kind = "mint"
-
-    def __init__(self, window: int, rng):
-        self.inner = MintSampler(window, rng)
-
-    def observe(self, key: int, cycle: int = 0) -> None:
-        self.inner.observe(key)
-        return None
-
-    def sample(self, rng) -> Optional[int]:
-        return self.inner.sample()
-
-    def clear(self) -> None:
-        self.inner.clear()
-
-    def occupancy(self) -> int:
-        return 1 if self.inner.sample() is not None else 0
-
-
-@TRACKERS.register("dapper")
-class DapperTracker(Tracker):
-    """DAPPER-style resilient Misra-Gries: estimates and the hottest
-    entry are provable lower bounds; window resets decay (halve)."""
-
-    kind = "dapper"
-
-    def __init__(self, entries: int):
-        self.inner = ResilientMisraGries(entries)
-
-    def observe(self, key: int, cycle: int = 0) -> int:
-        self.inner.observe(key)
-        return self.inner.lower_bound(key)
-
-    def estimate(self, key: int, cycle: int = 0) -> int:
-        return self.inner.lower_bound(key)
-
-    def hottest(self) -> Optional[Tuple[int, int]]:
-        return self.inner.hottest()
-
-    def reset_key(self, key: int) -> None:
-        self.inner.reset_key(key)
-
-    def settle(self, key: int) -> None:
-        self.inner.reset_key(key)
-
-    def window_reset(self) -> None:
-        self.inner.halve()
-
-    def clear(self) -> None:
-        self.inner.clear()
-
-    def occupancy(self) -> int:
-        return len(self.inner.counts)
-
-    def spillover(self) -> int:
-        return self.inner.spill
-
-
-@TRACKERS.register("none")
-class NullTracker(Tracker):
-    """No tracking (stateless policies like PARA)."""
-
-    kind = "none"
-
-    def observe(self, key: int, cycle: int = 0) -> None:
-        return None
 
 
 # -- scope ---------------------------------------------------------------------------
@@ -581,7 +314,8 @@ class ComposedMitigation(Mitigation):
     Subclasses pass the triple up and keep only their public face
     (name, ``uses_rfm``/``raaimt`` properties, reporting attributes).
     The glue owns per-scope state creation, the ``on_activate`` /
-    ``on_rfm`` plumbing, reset cadences, and tracker telemetry.
+    ``on_rfm`` plumbing, reset cadences, and the ``tracker-reset``
+    event.
     """
 
     def __init__(self, tracker: TrackerSpec, policy: ActionPolicy,
@@ -598,8 +332,6 @@ class ComposedMitigation(Mitigation):
                 f"schemes whose class overrides it)")
         self._states: Dict[Hashable, _ScopeState] = {}
         self.trr_count = 0
-        self.tracker_queries = 0
-        self.tracker_resets = 0
         if name is not None:
             self.name = name
 
@@ -634,23 +366,12 @@ class ComposedMitigation(Mitigation):
 
     def _reset_tracker(self, state: _ScopeState, addr: BankAddress,
                        cycle: int) -> None:
-        self.tracker_resets += 1
         if self._event_listeners:
             self.emit_event("tracker-reset", addr, cycle, {
                 "occupancy": state.tracker.occupancy(),
                 "spill": state.tracker.spillover(),
             })
         state.tracker.window_reset()
-
-    # -- telemetry -------------------------------------------------------------
-
-    def tracker_occupancy(self) -> int:
-        """Entries held across every scope (obs snapshots)."""
-        return sum(s.tracker.occupancy() for s in self._states.values())
-
-    def tracker_spill(self) -> int:
-        """Spilled/evicted mass across every scope (obs snapshots)."""
-        return sum(s.tracker.spillover() for s in self._states.values())
 
     # -- hooks -----------------------------------------------------------------
 
@@ -662,7 +383,6 @@ class ComposedMitigation(Mitigation):
     def on_rfm(self, addr: BankAddress, cycle: int) -> RfmOutcome:
         self._require_bound()
         state = self._state(addr)
-        self.tracker_queries += 1
         outcome = self.policy.on_rfm(self, state, addr, cycle)
         if self.scope.reset == "rfm":
             self._reset_tracker(state, addr, cycle)
@@ -703,15 +423,7 @@ class ThrottleMixin:
 __all__ = [
     "ActionPolicy",
     "ComposedMitigation",
-    "CounterSummaryTracker",
-    "CountMinTracker",
-    "DapperTracker",
-    "DcbfTracker",
-    "MintTracker",
-    "MisraGriesTracker",
-    "NullTracker",
     "ProbabilisticTrr",
-    "RecentHistoryTracker",
     "RefWindowResetMixin",
     "RfmTrrHottest",
     "RfmTrrSampled",
@@ -719,6 +431,5 @@ __all__ = [
     "ThresholdTrr",
     "Throttle",
     "ThrottleMixin",
-    "Tracker",
     "TrackerSpec",
 ]

@@ -71,7 +71,7 @@ class Dapper(RefWindowResetMixin, ComposedMitigation):
         self.table_entries = table_entries
         self.blast_radius = max(1, blast_radius)
         super().__init__(
-            tracker=TrackerSpec.of("dapper", entries=table_entries),
+            tracker=TrackerSpec.of("dapper", capacity=table_entries),
             policy=RfmTrrHottest(self.blast_radius),
             scope=Scope(per="bank", reset="ref-window"),
             name=(f"DAPPER-r{raaimt}-e{table_entries}"

@@ -22,8 +22,7 @@ from typing import Dict
 
 from repro.dram.device import BankAddress
 from repro.mitigations.base import ActOutcome, Mitigation, RfmOutcome
-from repro.mitigations.compose import Tracker
-from repro.spec.registry import TRACKERS
+from repro.mitigations.trackers import DualCountingBloomFilter
 
 
 class FilteredRfm(Mitigation):
@@ -42,7 +41,7 @@ class FilteredRfm(Mitigation):
         self.cbf_width = cbf_width
         self.cbf_depth = cbf_depth
         self.elide_rfm = elide_rfm
-        self._filters: Dict[BankAddress, Tracker] = {}
+        self._filters: Dict[BankAddress, DualCountingBloomFilter] = {}
         self._hot: Dict[BankAddress, int] = {}
         self.rfms_filtered = 0
         self.rfms_passed = 0
@@ -98,14 +97,11 @@ class FilteredRfm(Mitigation):
 
     # -- the filter ------------------------------------------------------------------
 
-    def _filter(self, addr: BankAddress) -> Tracker:
+    def _filter(self, addr: BankAddress) -> DualCountingBloomFilter:
         f = self._filters.get(addr)
         if f is None:
-            # Built through the tracker registry so the filter rides the
-            # same protocol (and telemetry surface) as scheme trackers.
-            f = TRACKERS.build("dcbf", width=self.cbf_width,
-                               epoch_cycles=self._epoch,
-                               depth=self.cbf_depth)
+            f = DualCountingBloomFilter(self.cbf_width, self._epoch,
+                                        self.cbf_depth)
             self._filters[addr] = f
         return f
 

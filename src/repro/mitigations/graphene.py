@@ -47,7 +47,7 @@ class Graphene(RefWindowResetMixin, ComposedMitigation):
         self.table_entries = table_entries
         super().__init__(
             tracker=TrackerSpec.of(
-                "misra-gries", entries=lambda g, t: self.table_entries),
+                "misra-gries", capacity=lambda g, t: self.table_entries),
             policy=ThresholdTrr(self.threshold, self.blast_radius),
             scope=Scope(per="bank", reset="ref-window"),
             name=f"Graphene-h{hcnt}",

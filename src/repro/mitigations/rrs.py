@@ -133,7 +133,7 @@ class RandomizedRowSwap(ComposedMitigation):
         self.config = config
         self.rng = rng or SystemRng(0x5A5A)
         super().__init__(
-            tracker=TrackerSpec.of("misra-gries", entries=self._entries_for),
+            tracker=TrackerSpec.of("misra-gries", capacity=self._entries_for),
             policy=RowSwapPolicy(config.swap_threshold,
                                  config.swap_latency_ns),
             scope=Scope(per="bank"),

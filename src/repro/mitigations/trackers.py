@@ -1,4 +1,9 @@
-"""Activation-tracking data structures used by the baseline mitigations.
+"""Activation-tracking structures and the :class:`Tracker` protocol.
+
+Every structure a composed mitigation (``repro.mitigations.compose``)
+drives implements :class:`Tracker` itself and registers in
+:data:`~repro.spec.registry.TRACKERS` under the name a
+:class:`~repro.mitigations.compose.TrackerSpec` builds it by:
 
 * :class:`MisraGries` -- frequent-items tracker with a spillover counter
   (the Graphene/RRS formulation [Park MICRO'20, Saileshwar ASPLOS'22]).
@@ -7,23 +12,80 @@
   for the *maximum* entry at each RFM [Kim HPCA'22].
 * :class:`DualCountingBloomFilter` -- BlockHammer's D-CBF: two counting
   Bloom filters alternating over epoch halves [Yaglikci HPCA'21].
-* :class:`CountMinSketch` -- the random-projection counter underlying
-  the Bloom-filter variants, exposed for the RFM-filtering extension
-  (paper Section VIII).
 * :class:`MintSampler` -- MINT's single-entry window sampler
   [Qureshi MICRO'24]: O(1) storage, uniform over the mitigation window.
 * :class:`ResilientMisraGries` -- a DAPPER-style performance-attack-
   resilient Misra-Gries variant [Woo & Nair '25]: decisions use the
   provable lower bound and window resets decay instead of clearing.
+* :class:`RecentHistoryTracker` -- PARFM's window of recent rows.
+* :class:`NullTracker` -- no state (PARA).
+
+:class:`CountMinSketch` is the random-projection counter inside the
+D-CBF; it is a building block, not a tracker.
 """
 
 from __future__ import annotations
 
+import abc
+from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.spec.registry import TRACKERS
 
-class MisraGries:
+
+class Tracker(abc.ABC):
+    """The protocol composed mitigations drive.
+
+    ``observe`` counts one occurrence and may return the key's fresh
+    estimate when that is free (Misra-Gries does; sketches return None
+    rather than pay extra hash reads on the hot path).  ``cycle``
+    matters only to structures that rotate on cycle stamps (D-CBF).
+    Queries a structure cannot answer fall back to safe defaults: no
+    hottest entry, no sample, estimate 0.
+    """
+
+    @abc.abstractmethod
+    def observe(self, key: int, cycle: int = 0) -> Optional[int]:
+        """Count one occurrence of ``key``; optionally return its
+        estimate."""
+
+    def estimate(self, key: int, cycle: int = 0) -> int:
+        return 0
+
+    def hottest(self) -> Optional[Tuple[int, int]]:
+        """The (key, count) a deterministic policy should mitigate."""
+        return None
+
+    def sample(self, rng) -> Optional[int]:
+        """A row drawn from the tracked window (sampling policies)."""
+        return None
+
+    def reset_key(self, key: int) -> None:
+        """Forget ``key``'s accumulated count after mitigating it."""
+
+    def settle(self, key: int) -> None:
+        """Sink ``key`` below the table floor after mitigating it."""
+
+    def window_reset(self) -> None:
+        """Scope-cadence reset (REF window / RFM).  Defaults to a full
+        clear; resilient trackers may decay instead."""
+        self.clear()
+
+    def clear(self) -> None:
+        """Drop all state."""
+
+    def occupancy(self) -> int:
+        """Entries currently held (telemetry)."""
+        return 0
+
+    def spillover(self) -> int:
+        """Evicted/uncounted mass the structure admits (telemetry)."""
+        return 0
+
+
+@TRACKERS.register("misra-gries")
+class MisraGries(Tracker):
     """Misra-Gries heavy-hitters with a spillover counter.
 
     Guarantees: any key activated more than ``spill + capacity`` times
@@ -39,7 +101,7 @@ class MisraGries:
         self.counts: Dict[int, int] = {}
         self.spill = 0
 
-    def observe(self, key: int) -> int:
+    def observe(self, key: int, cycle: int = 0) -> int:
         """Count one occurrence; returns the key's current estimate."""
         if key in self.counts:
             self.counts[key] += 1
@@ -56,10 +118,10 @@ class MisraGries:
             return self.counts[key]
         return self.spill
 
-    def estimate(self, key: int) -> int:
+    def estimate(self, key: int, cycle: int = 0) -> int:
         return self.counts.get(key, self.spill)
 
-    def max_entry(self) -> Optional[Tuple[int, int]]:
+    def hottest(self) -> Optional[Tuple[int, int]]:
         if not self.counts:
             return None
         key = max(self.counts, key=self.counts.get)
@@ -74,8 +136,15 @@ class MisraGries:
         self.counts.clear()
         self.spill = 0
 
+    def occupancy(self) -> int:
+        return len(self.counts)
 
-class CounterSummary:
+    def spillover(self) -> int:
+        return self.spill
+
+
+@TRACKERS.register("counter-summary")
+class CounterSummary(Tracker):
     """Mithril's CbS: bounded counter table with min-inheritance insert."""
 
     def __init__(self, entries: int):
@@ -84,7 +153,7 @@ class CounterSummary:
         self.entries = entries
         self.counts: Dict[int, int] = {}
 
-    def observe(self, key: int) -> None:
+    def observe(self, key: int, cycle: int = 0) -> None:
         if key in self.counts:
             self.counts[key] += 1
             return
@@ -96,6 +165,9 @@ class CounterSummary:
         min_key = min(self.counts, key=self.counts.get)
         min_count = self.counts.pop(min_key)
         self.counts[key] = min_count + 1
+
+    def estimate(self, key: int, cycle: int = 0) -> int:
+        return self.counts.get(key, self.floor())
 
     def hottest(self) -> Optional[Tuple[int, int]]:
         """The entry with the highest count (the RFM mitigation target)."""
@@ -120,8 +192,15 @@ class CounterSummary:
     def clear(self) -> None:
         self.counts.clear()
 
+    def occupancy(self) -> int:
+        return len(self.counts)
 
-class MintSampler:
+    def spillover(self) -> int:
+        return self.floor()
+
+
+@TRACKERS.register("mint")
+class MintSampler(Tracker):
     """MINT's minimalist in-DRAM sampler: one entry per bank.
 
     At the start of each mitigation window (the RAAIMT activations
@@ -132,7 +211,7 @@ class MintSampler:
     PARFM gets from a ``window``-deep history, with O(1) storage.
 
     The slot is drawn lazily on the window's *first* activation, so an
-    idle bank consumes no randomness.
+    idle bank consumes no randomness; :meth:`sample` ignores its ``rng``.
     """
 
     def __init__(self, window: int, rng):
@@ -145,7 +224,7 @@ class MintSampler:
         self._select: Optional[int] = None
         self._captured: Optional[int] = None
 
-    def observe(self, key: int) -> None:
+    def observe(self, key: int, cycle: int = 0) -> None:
         if self._select is None:
             self._select = self.rng.randrange(self.window) + 1
             self.windows += 1
@@ -153,7 +232,7 @@ class MintSampler:
         if self._position == self._select:
             self._captured = key
 
-    def sample(self) -> Optional[int]:
+    def sample(self, rng=None) -> Optional[int]:
         """The captured row of the current window (None while unarmed
         or before the selected slot has passed)."""
         return self._captured
@@ -164,7 +243,11 @@ class MintSampler:
         self._select = None
         self._captured = None
 
+    def occupancy(self) -> int:
+        return 0 if self._captured is None else 1
 
+
+@TRACKERS.register("dapper")
 class ResilientMisraGries(MisraGries):
     """DAPPER-style performance-attack-resilient Misra-Gries.
 
@@ -172,15 +255,19 @@ class ResilientMisraGries(MisraGries):
     attack the *tracker* (to induce spurious mitigations and tank
     performance) rather than the DRAM:
 
-    * decisions use :meth:`lower_bound` -- the provable true-count floor
-      ``count - spill`` -- so thrashing the table inflates ``spill`` but
+    * decisions use :meth:`estimate`, the provable true-count floor
+      ``count - spill``, so thrashing the table inflates ``spill`` but
       can never promote a cold row into a mitigation target;
-    * :meth:`halve` decays counters and spill at the window boundary
-      instead of clearing, so forcing resets cannot launder a hot row's
+    * :meth:`window_reset` halves counters and spill instead of
+      clearing, so forcing resets cannot launder a hot row's
       accumulated history.
     """
 
-    def lower_bound(self, key: int) -> int:
+    def observe(self, key: int, cycle: int = 0) -> int:
+        super().observe(key)
+        return self.estimate(key)
+
+    def estimate(self, key: int, cycle: int = 0) -> int:
         """Provable minimum true count since the key's last reset."""
         count = self.counts.get(key)
         if count is None:
@@ -190,7 +277,7 @@ class ResilientMisraGries(MisraGries):
     def hottest(self) -> Optional[Tuple[int, int]]:
         """The max entry with its lower bound; None when nothing is
         provably hot (mitigating then would be attacker-steerable)."""
-        entry = self.max_entry()
+        entry = super().hottest()
         if entry is None:
             return None
         key, count = entry
@@ -199,7 +286,10 @@ class ResilientMisraGries(MisraGries):
             return None
         return key, bound
 
-    def halve(self) -> None:
+    def settle(self, key: int) -> None:
+        self.reset_key(key)
+
+    def window_reset(self) -> None:
         """Window-boundary decay: halve every counter and the spill,
         dropping entries that sink to the new floor."""
         self.spill //= 2
@@ -248,13 +338,18 @@ class _Epoch:
     started: int
 
 
-class DualCountingBloomFilter:
+@TRACKERS.register("dcbf")
+class DualCountingBloomFilter(Tracker):
     """BlockHammer's D-CBF: two sketches alternating per epoch half.
 
     One sketch is *active* (counts new ACTs); the other holds the
     previous half-epoch.  A row's estimate is the max of the two, so a
     row hot across an epoch boundary is still caught; clearing the
     retired sketch bounds staleness to one epoch.
+
+    The epoch cadence lives inside the structure (it rotates on the
+    cycle stamps it is fed), so schemes declare ``Scope(reset="epoch")``
+    for documentation and the composition layer makes no reset calls.
     """
 
     def __init__(self, width: int, epoch_cycles: int, depth: int = 4):
@@ -280,3 +375,38 @@ class DualCountingBloomFilter:
         self._maybe_rotate(cycle)
         return max(self._active.filter.estimate(key),
                    self._retired.filter.estimate(key))
+
+    def spillover(self) -> int:
+        return self.rotations
+
+
+@TRACKERS.register("recent-history")
+class RecentHistoryTracker(Tracker):
+    """PARFM's sampling window: the last ``depth`` activated rows."""
+
+    def __init__(self, depth: int):
+        if depth <= 0:
+            raise ValueError("depth must be positive")
+        self._items = deque(maxlen=depth)
+
+    def observe(self, key: int, cycle: int = 0) -> None:
+        self._items.append(key)
+
+    def sample(self, rng) -> Optional[int]:
+        if not self._items:
+            return None
+        return self._items[rng.randrange(len(self._items))]
+
+    def clear(self) -> None:
+        self._items.clear()
+
+    def occupancy(self) -> int:
+        return len(self._items)
+
+
+@TRACKERS.register("none")
+class NullTracker(Tracker):
+    """No tracking (stateless policies like PARA)."""
+
+    def observe(self, key: int, cycle: int = 0) -> None:
+        return None

@@ -145,8 +145,8 @@ SCHEMES = Registry("scheme", providers=("repro.mitigations", "repro.core"))
 
 #: Tracker structures for the tracker x policy x scope composition
 #: layer (``repro.mitigations.compose``).  Loading the mitigation
-#: package registers the generic adapters plus any scheme-private
-#: trackers defined next to their scheme (the one-file-mitigation rule).
+#: package registers every structure in ``repro.mitigations.trackers``,
+#: each under the name a ``TrackerSpec`` builds it by.
 TRACKERS = Registry("tracker", providers=("repro.mitigations",))
 
 #: Action policies -- the Section III mitigating-action taxonomy

@@ -13,9 +13,10 @@ handful of examples:
   and is fully forgotten by half k+2 (BlockHammer's staleness bound).
 * MINT sampler: exactly one capture per window, always one of that
   window's observed keys, uniform over slots.
-* Resilient Misra-Gries: the lower bound never exceeds the true count,
-  under any stream and across halvings -- the "thrash cannot promote a
-  cold row" guarantee DAPPER's deterministic security bound rests on.
+* Resilient Misra-Gries: the estimate (the lower bound) never exceeds
+  the true count, under any stream and across halvings -- the "thrash
+  cannot promote a cold row" guarantee DAPPER's deterministic security
+  bound rests on.
 """
 
 from hypothesis import given, settings
@@ -160,9 +161,10 @@ class TestResilientMisraGriesProperties:
         truth = {}
         for k in keys:
             truth[k] = truth.get(k, 0) + 1
-            rmg.observe(k)
+            observed = rmg.observe(k)
+            assert observed == rmg.estimate(k) <= truth[k]
         for k in set(keys) | {999}:
-            assert rmg.lower_bound(k) <= truth.get(k, 0)
+            assert rmg.estimate(k) <= truth.get(k, 0)
 
     @given(keys_stream, st.lists(st.booleans(), min_size=0, max_size=8))
     @settings(max_examples=60)
@@ -181,10 +183,10 @@ class TestResilientMisraGriesProperties:
                 truth[k] = truth.get(k, 0) + 1
                 rmg.observe(k)
             if cut != len(stream):
-                rmg.halve()
+                rmg.window_reset()
             pos = cut
         for k in truth:
-            assert rmg.lower_bound(k) <= truth[k]
+            assert rmg.estimate(k) <= truth[k]
 
     @given(keys_stream)
     @settings(max_examples=40)

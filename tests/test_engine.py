@@ -11,6 +11,7 @@ import pytest
 
 from repro.experiments import fig8
 from repro.experiments.configs import FidelityConfig, fidelity_config
+from repro.experiments.driver import run_spec
 from repro.experiments.engine import (
     BASELINE,
     Engine,
@@ -20,7 +21,6 @@ from repro.experiments.engine import (
     JobFailure,
     JobResult,
     SchemeSpec,
-    WsRelativePlan,
     _execute,
     alone_job,
     archsim_scheme_specs,
@@ -32,6 +32,7 @@ from repro.dram.device import DramGeometry
 from repro.dram.subarray import SubarrayLayout
 from repro.mitigations import DoubleRefreshRate, NoMitigation
 from repro.sim import System, SystemConfig, weighted_speedup
+from repro.spec import ExperimentSpec, PointSpec, SimSpec, workload_spec
 from repro.utils.cache import ResultCache, canonical_json, spec_digest
 from repro.workloads import SPEC_PROFILES, mix_high
 
@@ -303,17 +304,25 @@ class TestEngine:
         assert restored.cycles == 10
 
 
-class TestWsRelativePlan:
-    def test_matches_experiment_runner(self, tmp_path):
-        """The engine's ratio equals the serial recipe recomputed without
+class TestWsRelativeMetric:
+    @staticmethod
+    def _spec(schemes):
+        """One ``ws-relative`` point per label on a 2-thread mix-high."""
+        workload = workload_spec("mix-high", threads=2)
+        sim = SimSpec(requests=120, seed=7)
+        return ExperimentSpec("ws", points=tuple(
+            PointSpec("ws-relative", (label,), workload=workload,
+                      scheme=scheme, sim=sim)
+            for label, scheme in schemes.items()))
+
+    def test_matches_direct_system_runs(self, tmp_path):
+        """The driver's ratio equals the serial recipe recomputed without
         the engine: alone runs under ``none``, the shared scheme run and
         the shared ``none`` run, fed to ``weighted_speedup``."""
-        config = small_config()
+        spec = self._spec({"drr": scheme_spec("drr"), "none": BASELINE})
+        result = run_spec(spec, Engine(cache_dir=str(tmp_path)))
+        config = spec.points[0].sim.to_system_config()
         profiles = mix_high(2)
-        plan = WsRelativePlan(config)
-        plan.add("drr", profiles, scheme_spec("drr"))
-        plan.add("none", profiles, BASELINE)
-        results = Engine(cache_dir=str(tmp_path)).run(plan.jobs)
 
         def finish(profiles, mitigation):
             return System(list(profiles), mitigation,
@@ -325,19 +334,18 @@ class TestWsRelativePlan:
         ws_none = weighted_speedup(alone, finish(profiles, NoMitigation()))
         # Sharing the channel never beats running alone.
         assert 0.5 < ws_none <= len(profiles)
-        assert plan.value("drr", results) == ws_drr / ws_none
-        assert plan.value("none", results) == 1.0
+        assert result["drr"] == ws_drr / ws_none
+        assert result["none"] == 1.0
 
-    def test_baseline_jobs_shared_between_labels(self):
-        config = small_config()
-        profiles = mix_high(2)
-        plan = WsRelativePlan(config)
-        plan.add("a", profiles, scheme_spec("drr"))
-        plan.add("b", profiles, scheme_spec("shadow", hcnt=4096))
+    def test_baseline_jobs_shared_between_labels(self, tmp_path):
+        spec = self._spec({"a": scheme_spec("drr"),
+                           "b": scheme_spec("shadow", hcnt=4096)})
+        engine = Engine(cache_dir=str(tmp_path))
+        run_spec(spec, engine)
         # alone runs + shared baseline are shared; only the scheme
         # shared runs differ.
-        distinct_profiles = len(set(profiles))
-        assert len(plan.jobs) == distinct_profiles + 1 + 2
+        distinct_profiles = len(set(mix_high(2)))
+        assert engine.stats.unique == distinct_profiles + 1 + 2
 
 
 class TestExtendedMetrics:

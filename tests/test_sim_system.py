@@ -7,7 +7,8 @@ from repro.controller.request import MemoryRequest
 from repro.core import Shadow, ShadowConfig
 from repro.dram.device import DramGeometry
 from repro.dram.subarray import SubarrayLayout
-from repro.experiments.engine import BASELINE, Engine, WsRelativePlan
+from repro.experiments.driver import run_spec
+from repro.experiments.engine import BASELINE, Engine
 from repro.mitigations import DoubleRefreshRate, NoMitigation
 from repro.sim import (
     System,
@@ -18,6 +19,7 @@ from repro.sim import (
 )
 from repro.sim.core_model import ThreadState
 from repro.sim.metrics import relative_weighted_speedup
+from repro.spec import ExperimentSpec, PointSpec, SimSpec, workload_spec
 from repro.workloads import SPEC_PROFILES
 
 SMALL_GEO = DramGeometry(
@@ -204,7 +206,7 @@ class TestMetrics:
 
 class TestRunner:
     """Weighted-speedup experiment runs: direct System runs and the
-    engine's ``ws-relative`` plan."""
+    driver's ``ws-relative`` metric."""
 
     def test_run_result_weighted_speedup(self):
         config = small_config()
@@ -219,7 +221,8 @@ class TestRunner:
         assert ws > 0.5
 
     def test_relative_performance_close_to_one_for_noop(self, tmp_path):
-        plan = WsRelativePlan(small_config())
-        plan.add("none", [SPEC_PROFILES["xz"]], BASELINE)
-        results = Engine(cache_dir=str(tmp_path)).run(plan.jobs)
-        assert plan.value("none", results) == pytest.approx(1.0)
+        spec = ExperimentSpec("noop", points=(PointSpec(
+            "ws-relative", ("none",), workload=workload_spec("spec", app="xz"),
+            scheme=BASELINE, sim=SimSpec(requests=200, seed=7)),))
+        result = run_spec(spec, Engine(cache_dir=str(tmp_path)))
+        assert result["none"] == pytest.approx(1.0)

@@ -1,15 +1,23 @@
-"""Tracker data structures: Misra-Gries, CbS, CMS, D-CBF."""
+"""Tracker data structures: Misra-Gries, CbS, CMS, D-CBF, and the
+tracker protocol they implement."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dram.device import BankAddress, DramGeometry
+from repro.dram.timing import DDR4_2666
+from repro.mitigations import trackers
 from repro.mitigations.trackers import (
     CountMinSketch,
     CounterSummary,
     DualCountingBloomFilter,
     MisraGries,
+    ResilientMisraGries,
+    Tracker,
 )
+from repro.spec.registry import SCHEMES, TRACKERS
+from repro.utils.rng import SystemRng
 
 
 class TestMisraGries:
@@ -54,9 +62,9 @@ class TestMisraGries:
         for _ in range(3):
             mg.observe(1)
         mg.observe(2)
-        assert mg.max_entry() == (1, 3)
+        assert mg.hottest() == (1, 3)
         mg.clear()
-        assert mg.max_entry() is None
+        assert mg.hottest() is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -152,3 +160,36 @@ class TestDualCbf:
     def test_validation(self):
         with pytest.raises(ValueError):
             DualCountingBloomFilter(width=8, epoch_cycles=0)
+
+
+#: Constructor arguments for every registered tracker name.
+_TRACKER_PARAMS = {
+    "misra-gries": dict(capacity=4),
+    "counter-summary": dict(entries=4),
+    "dcbf": dict(width=16, epoch_cycles=100),
+    "recent-history": dict(depth=4),
+    "mint": dict(window=4, rng=SystemRng(1)),
+    "dapper": dict(capacity=4),
+    "none": {},
+}
+
+
+class TestTrackerProtocol:
+    def test_every_registered_name_builds_a_tracker(self):
+        assert set(TRACKERS.names()) == set(_TRACKER_PARAMS)
+        for name, params in _TRACKER_PARAMS.items():
+            tracker = TRACKERS.build(name, **params)
+            assert isinstance(tracker, Tracker), name
+            assert type(tracker).__module__ == trackers.__name__, name
+
+    @pytest.mark.parametrize("scheme, structure", [
+        ("dapper", ResilientMisraGries),
+        ("mithril-perf", CounterSummary),
+    ])
+    def test_scheme_scope_holds_the_structure_itself(self, scheme,
+                                                      structure):
+        mitigation = SCHEMES.build(scheme, hcnt=4096)
+        mitigation.bind(DramGeometry(), DDR4_2666)
+        mitigation.on_activate(BankAddress(0, 0, 0), 5, 5, cycle=0)
+        (state,) = mitigation._states.values()
+        assert type(state.tracker) is structure
