@@ -1,10 +1,11 @@
 """Benchmark: ablations of SHADOW's design choices (DESIGN.md Sec. 6)."""
 
 from repro.experiments import ablations
+from repro.experiments.driver import run_spec
 
 
 def test_ablations(once):
-    results = once(ablations.run, "smoke")
+    results = once(run_spec, ablations.spec("smoke"))
 
     timing = results["timing"]
     for name, vals in timing.items():

@@ -1,10 +1,11 @@
 """Benchmark: the extended all-schemes comparison (+ RFM filtering)."""
 
 from repro.experiments import extended
+from repro.experiments.driver import run_spec
 
 
 def test_extended(once):
-    results = once(extended.run, "smoke")
+    results = once(run_spec, extended.spec("smoke"))
     schemes = results["schemes"]
     for name, vals in schemes.items():
         print(name.ljust(14),

@@ -1,10 +1,11 @@
 """Benchmark: regenerate Figure 10 (blast-radius sensitivity)."""
 
 from repro.experiments import fig10
+from repro.experiments.driver import run_spec
 
 
 def test_fig10(once):
-    results = once(fig10.run, "smoke")
+    results = once(run_spec, fig10.spec("smoke"))
     series = results["series"]
     radii = results["radii"]
     for key, vals in series.items():

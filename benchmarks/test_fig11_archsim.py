@@ -1,10 +1,11 @@
 """Benchmark: regenerate Figure 11 (SHADOW vs BlockHammer vs RRS)."""
 
 from repro.experiments import fig11
+from repro.experiments.driver import run_spec
 
 
 def test_fig11(once):
-    results = once(fig11.run, "smoke")
+    results = once(run_spec, fig11.spec("smoke"))
     series = results["series"]
     sweep = [str(h) for h in results["hcnt_sweep"]]
     hi, lo = sweep[0], sweep[-1]   # 16K ... 2K

@@ -1,11 +1,12 @@
 """Benchmark: regenerate Figure 12 (relative power, RFM/REF ratio)."""
 
 from repro.experiments import fig12
+from repro.experiments.driver import run_spec
 from repro.experiments.configs import HCNT_SWEEP
 
 
 def test_fig12(once):
-    results = once(fig12.run, "smoke")
+    results = once(run_spec, fig12.spec("smoke"))
     series = results["series"]
     for key, vals in series.items():
         print(key.ljust(26),

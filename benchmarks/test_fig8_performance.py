@@ -7,10 +7,11 @@ refreshes make it the costly yardstick on refresh-sensitive workloads.
 """
 
 from repro.experiments import fig8
+from repro.experiments.driver import run_spec
 
 
 def test_fig8(once):
-    results = once(fig8.run, "smoke")
+    results = once(run_spec, fig8.spec("smoke"))
     series = results["relative_performance"]
     workloads = list(next(iter(series.values())))
     for name, vals in series.items():

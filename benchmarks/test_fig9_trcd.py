@@ -1,11 +1,12 @@
 """Benchmark: regenerate Figure 9 (tRCD sensitivity of SHADOW)."""
 
 from repro.experiments import fig9
+from repro.experiments.driver import run_spec
 from repro.experiments.configs import HCNT_SWEEP
 
 
 def test_fig9(once):
-    results = once(fig9.run, "smoke")
+    results = once(run_spec, fig9.spec("smoke"))
     series = results["series"]
     for key, vals in series.items():
         print(key.ljust(20),

@@ -3,10 +3,11 @@
 import math
 
 from repro.experiments import table2
+from repro.experiments.driver import run_spec
 
 
 def test_table2(once):
-    results = once(table2.run)
+    results = once(run_spec, table2.spec())
     cells = results["cells"]
 
     rows = []
@@ -39,7 +40,7 @@ def test_table2(once):
 
 
 def test_every_paper_cell_within_two_decades(once):
-    results = once(table2.run)
+    results = once(run_spec, table2.spec())
     for key, cell in results["cells"].items():
         paper = {"1": 1.0, "0": 0.0}.get(
             cell["paper"], float(cell["paper"].replace("E", "e")))

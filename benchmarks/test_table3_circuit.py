@@ -3,10 +3,11 @@
 import pytest
 
 from repro.experiments import table3
+from repro.experiments.driver import run_spec
 
 
 def test_table3(once):
-    results = once(table3.run)
+    results = once(run_spec, table3.spec())
     rows = results["rows"]
     for key, row in rows.items():
         print(f"{key:10s} {row['timing_ns']:.1f} ns "

@@ -7,6 +7,7 @@ script) bundles the common flows:
 * ``attack``    -- drive a Row Hammer pattern and report flips
 * ``security``  -- evaluate the Appendix XI bounds for a configuration
 * ``experiment``-- run a paper table/figure driver by name
+* ``redteam``   -- replay the adversary suite against every scheme
 * ``templating``-- templating campaign (static vs SHADOW)
 * ``bench``     -- pinned scheduler benchmarks (throughput + profiling)
 * ``stats``     -- run a workload with metrics on and print the summary
@@ -16,10 +17,10 @@ script) bundles the common flows:
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
-from repro.analysis.security import SecurityAnalysis, SecurityParams
 from repro.rowhammer.templating import TemplatingCampaign
 from repro.sim import System, SystemConfig
 from repro.spec import scheme_spec, workload_spec
@@ -71,31 +72,87 @@ def resolve_profiles(workload: str, threads: int):
         raise SystemExit(str(exc)) from None
 
 
-def _run_spec_file(args) -> int:
-    """Run a serialized ExperimentSpec through the generic driver."""
-    import json
+#: Experiment name -> its driver module under ``repro.experiments``.
+#: Every driver module exposes ``spec(fidelity)`` and
+#: ``render(results, fidelity)``.
+EXPERIMENTS = {
+    "table2": "table2",
+    "table3": "table3",
+    "fig8": "fig8",
+    "fig9": "fig9",
+    "fig10": "fig10",
+    "fig11": "fig11",
+    "fig12": "fig12",
+    "ablations": "ablations",
+    "extended": "extended",
+    "scheme-matrix": "matrix",
+}
 
+#: Closed-form drivers: they run no simulation jobs, so the engine's
+#: flags do not apply, and their results do not depend on fidelity.
+#: Every other driver runs on the engine.
+ANALYTIC_EXPERIMENTS = frozenset({"table2", "table3"})
+
+ENGINE_EXPERIMENTS = tuple(name for name in EXPERIMENTS
+                           if name not in ANALYTIC_EXPERIMENTS)
+
+
+def _results_stem(spec) -> str:
+    """File stem a spec's results save under in ``results/``.
+
+    ``scheme-matrix`` smoke saves as ``scheme_matrix_smoke``; the
+    analytic tables save without a fidelity suffix (``table2``).
+    """
+    if spec.name in ANALYTIC_EXPERIMENTS:
+        return spec.name
+    return f"{spec.name.replace('-', '_')}_{spec.fidelity}"
+
+
+def _engine_from_args(args):
+    """The experiment engine configured by :func:`_add_engine_flags`."""
+    from repro.experiments.engine import Engine
+    return Engine(jobs=args.jobs, use_cache=not args.no_cache,
+                  retries=args.retries, job_timeout=args.job_timeout,
+                  keep_going=args.keep_going)
+
+
+def _run_and_save(spec, args,
+                  render: Optional[Callable[[dict, str], str]] = None
+                  ) -> int:
+    """Run one experiment spec, print its table, save its results.
+
+    Returns the exit code: 1 if any job failed permanently.  The
+    analytic tables reject the engine flags and print no engine line.
+    """
     from repro.experiments.driver import run_spec
-    from repro.experiments.report import (
-        engine_from_args, report_failures, save_results)
-    from repro.spec import ExperimentSpec
+    from repro.experiments.report import report_failures, save_results
 
-    with open(args.spec) as handle:
-        spec = ExperimentSpec.from_dict(json.load(handle))
-    engine = engine_from_args(args)
+    analytic = spec.name in ANALYTIC_EXPERIMENTS
+    if analytic and (args.jobs != 1 or args.no_cache or args.retries
+                     or args.job_timeout is not None or args.keep_going):
+        raise SystemExit(f"--jobs/--no-cache/--retries/--job-timeout/"
+                         f"--keep-going only apply to "
+                         f"{', '.join(ENGINE_EXPERIMENTS)}")
+    engine = _engine_from_args(args)
     results = run_spec(spec, engine=engine)
-    print(f"experiment={spec.name} fidelity={spec.fidelity} "
-          f"points={len(spec.points)}")
-    report_failures(engine)
-    print("engine:", engine.stats.summary())
-    print("saved:", save_results(f"{spec.name}_{spec.fidelity}", results))
-    return 1 if engine.failures else 0
+    failed = report_failures(engine)
+    if render is not None and not failed:
+        print(render(results, spec.fidelity))
+    if not analytic:
+        print("engine:", engine.stats.summary())
+    print("saved:", save_results(_results_stem(spec), results))
+    return 1 if failed else 0
 
 
 def cmd_run(args) -> int:
     """Handle ``shadow-repro run``."""
     if args.spec:
-        return _run_spec_file(args)
+        from repro.spec import ExperimentSpec
+        with open(args.spec) as handle:
+            spec = ExperimentSpec.from_dict(json.load(handle))
+        print(f"experiment={spec.name} fidelity={spec.fidelity} "
+              f"points={len(spec.points)}")
+        return _run_and_save(spec, args)
     profiles = resolve_profiles(args.workload, args.threads)
     mitigation = make_scheme(args.scheme, args.hcnt)
     config = SystemConfig(requests_per_thread=args.requests,
@@ -151,8 +208,7 @@ def cmd_stats(args) -> int:
         print(f"snapshots: {s['snapshots']} "
               f"(every {args.sample_interval} cycles)")
     if args.json:
-        import json as _json
-        print(_json.dumps(s, indent=2, sort_keys=True))
+        print(json.dumps(s, indent=2, sort_keys=True))
     return 0
 
 
@@ -235,7 +291,7 @@ def cmd_templating(args) -> int:
 def cmd_bench(args) -> int:
     """Handle ``shadow-repro bench`` (exit 1 on a baseline regression)."""
     from repro.bench import (
-        BENCH_PROFILES, check_overhead, check_regression, load_report,
+        check_overhead, check_regression, load_report,
         run_bench, run_overhead, write_report)
 
     names = args.profiles or None
@@ -336,9 +392,8 @@ def cmd_bench(args) -> int:
 def cmd_redteam(args) -> int:
     """Handle ``shadow-repro redteam`` (adversary suite x scheme zoo)."""
     from repro.experiments import redteam
-    from repro.experiments.report import (
-        engine_from_args, report_failures, save_results)
-    engine = engine_from_args(args)
+    from repro.experiments.report import report_failures, save_results
+    engine = _engine_from_args(args)
     report = redteam.run(args.fidelity, engine=engine, hcnt=args.hcnt,
                          policy=args.policy, seed=args.seed,
                          schemes=args.schemes or None,
@@ -350,66 +405,25 @@ def cmd_redteam(args) -> int:
     return 1 if engine.failures else 0
 
 
-#: Experiment name -> its driver module under ``repro.experiments``.
-EXPERIMENTS = {
-    "table2": "table2",
-    "table3": "table3",
-    "fig8": "fig8",
-    "fig9": "fig9",
-    "fig10": "fig10",
-    "fig11": "fig11",
-    "fig12": "fig12",
-    "ablations": "ablations",
-    "extended": "extended",
-    "scheme-matrix": "matrix",
-    "redteam": "redteam",
-}
-
-#: Closed-form drivers: they run no simulation jobs, so the engine's
-#: flags do not apply.  Every other driver runs on the engine.
-ANALYTIC_EXPERIMENTS = frozenset({"table2", "table3"})
-
-ENGINE_EXPERIMENTS = tuple(name for name in EXPERIMENTS
-                           if name not in ANALYTIC_EXPERIMENTS)
-
-
 def cmd_experiment(args) -> int:
     """Handle ``shadow-repro experiment <name>``."""
     import importlib
     module = importlib.import_module(
         f"repro.experiments.{EXPERIMENTS[args.name]}")
+    spec = module.spec(args.fidelity)
     if args.dump_spec:
-        import json
-        if not hasattr(module, "spec"):
-            raise SystemExit(
-                f"{args.name} does not define a declarative spec")
-        spec = (module.spec(args.fidelity) if args.fidelity
-                else module.spec())
         print(json.dumps(spec.to_dict(), indent=2, sort_keys=True))
         return 0
-    engine_flags = []
-    if args.jobs != 1:
-        engine_flags += ["--jobs", str(args.jobs)]
-    if args.no_cache:
-        engine_flags.append("--no-cache")
-    if args.retries:
-        engine_flags += ["--retries", str(args.retries)]
-    if args.job_timeout is not None:
-        engine_flags += ["--job-timeout", str(args.job_timeout)]
-    if args.keep_going:
-        engine_flags.append("--keep-going")
-    if engine_flags and args.name in ANALYTIC_EXPERIMENTS:
-        raise SystemExit(f"--jobs/--no-cache/--retries/--job-timeout/"
-                         f"--keep-going only apply to "
-                         f"{', '.join(ENGINE_EXPERIMENTS)}")
-    sys.argv = ([args.name] + ([args.fidelity] if args.fidelity else [])
-                + engine_flags)
-    module.main()
-    return 0
+    return _run_and_save(spec, args, render=module.render)
 
 
-def _add_fault_tolerance_flags(parser, scope: str) -> None:
-    """The engine's failure-handling knobs, shared by run/experiment."""
+def _add_engine_flags(parser, scope: str) -> None:
+    """The experiment engine's flags, shared by run/experiment/redteam."""
+    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help=f"worker processes {scope} (default: 1, run "
+                             f"inline)")
+    parser.add_argument("--no-cache", action="store_true",
+                        help=f"bypass the persistent result cache {scope}")
     parser.add_argument("--retries", type=int, default=0, metavar="N",
                         help=f"retry each failing job up to N times with "
                              f"exponential backoff {scope} (default: 0)")
@@ -454,11 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run an ExperimentSpec JSON file through the "
                             "generic driver instead (see 'experiment "
                             "--dump-spec')")
-    run_p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes for --spec runs")
-    run_p.add_argument("--no-cache", action="store_true",
-                       help="bypass the result cache for --spec runs")
-    _add_fault_tolerance_flags(run_p, "for --spec runs")
+    _add_engine_flags(run_p, "for --spec runs")
     run_p.set_defaults(func=cmd_run)
 
     stats_p = sub.add_parser(
@@ -529,13 +539,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp_p = sub.add_parser("experiment", help="run a table/figure driver")
     exp_p.add_argument("name", choices=list(EXPERIMENTS))
-    exp_p.add_argument("fidelity", nargs="?", choices=["smoke", "full"])
-    exp_p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help=f"worker processes for engine-backed drivers "
-                            f"({', '.join(ENGINE_EXPERIMENTS)})")
-    exp_p.add_argument("--no-cache", action="store_true",
-                       help="bypass the persistent result cache")
-    _add_fault_tolerance_flags(exp_p, "for engine-backed drivers")
+    exp_p.add_argument("fidelity", nargs="?", default="full",
+                       choices=["smoke", "full"],
+                       help="run scale (default: full)")
+    _add_engine_flags(exp_p, f"for the engine-backed drivers "
+                             f"({', '.join(ENGINE_EXPERIMENTS)})")
     exp_p.add_argument("--dump-spec", action="store_true",
                        help="print the driver's ExperimentSpec as JSON "
                             "instead of running it (feed to 'run --spec')")
@@ -612,11 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar="ATTACK",
                            help=f"restrict to these attacks (choices: "
                                 f"{', '.join(FULL_ATTACKS)})")
-    redteam_p.add_argument("--jobs", type=int, default=1, metavar="N",
-                           help="worker processes (default: 1)")
-    redteam_p.add_argument("--no-cache", action="store_true",
-                           help="bypass the persistent result cache")
-    _add_fault_tolerance_flags(redteam_p, "for the attack grid")
+    _add_engine_flags(redteam_p, "for the attack grid")
     redteam_p.set_defaults(func=cmd_redteam)
 
     return parser

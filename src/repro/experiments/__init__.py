@@ -1,11 +1,11 @@
 """Experiment drivers: one module per paper table/figure.
 
 Every module exposes ``spec(fidelity)`` returning the figure as a
-declarative :class:`~repro.spec.ExperimentSpec`, ``run(fidelity)``
-executing it through the generic driver (:func:`run_spec`) into a plain
-dict of the rows/series the paper reports, and a ``main()`` console
-entry point (wired in ``pyproject.toml`` as ``shadow-table2`` ...
-``shadow-fig12``).
+declarative :class:`~repro.spec.ExperimentSpec` and
+``render(results, fidelity)`` formatting the plain dict the generic
+driver (:func:`run_spec`) computes from it as the table the paper
+reports.  ``shadow-repro experiment <name>`` (``repro.cli``) runs one
+by name; ``run_spec(module.spec(fidelity))`` does the same in code.
 
 ``fidelity`` selects the run scale:
 

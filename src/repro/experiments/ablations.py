@@ -22,22 +22,15 @@ weighted-speedup points over the ``shadow-ablate`` scheme variants.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.analysis.montecarlo import flip_rate
 from repro.core.pairing import ShadowTimings
 from repro.dram.subarray import SubarrayLayout
 from repro.dram.timing import DDR4_2666
 from repro.experiments.configs import DEFAULT_HCNT, fidelity_config
-from repro.experiments.driver import METRICS, AnalyticMetric, run_spec
-from repro.experiments.engine import Engine
-from repro.experiments.report import (
-    driver_arg_parser,
-    engine_from_args,
-    format_table,
-    report_failures,
-    save_results,
-)
+from repro.experiments.driver import METRICS, AnalyticMetric
+from repro.experiments.report import format_table
 from repro.rowhammer.adversary import ScenarioIIAttacker
 from repro.spec import ExperimentSpec, PointSpec, scheme_spec, workload_spec
 from repro.utils.rng import SystemRng
@@ -124,37 +117,19 @@ def spec(fidelity: str = "smoke") -> ExperimentSpec:
     return ExperimentSpec("ablations", fidelity, points)
 
 
-def run(fidelity: str = "smoke", jobs: int = 1,
-        engine: Optional[Engine] = None) -> Dict:
-    """Run all three ablation studies; returns the result dict."""
-    return run_spec(spec(fidelity), engine=engine, jobs=jobs)
-
-
-def main() -> None:
-    """Console entry point: print the ablation tables."""
-    args = driver_arg_parser("ablations").parse_args()
-    engine = engine_from_args(args)
-    results = run(args.fidelity, jobs=args.jobs, engine=engine)
-    if not report_failures(engine):
-        rows = [[name, v["act_extra_cycles"], v["trcd_prime_ns"],
-                 v["rfm_work_ns"]]
-                for name, v in results["timing"].items()]
-        print(format_table(
+def render(results: Dict, fidelity: str) -> str:
+    """The three ablation studies as text tables."""
+    timing = [[name, v["act_extra_cycles"], v["trcd_prime_ns"],
+               v["rfm_work_ns"]]
+              for name, v in results["timing"].items()]
+    protection = [[k, v] for k, v in results["protection"].items()]
+    performance = [[k, v] for k, v in results["performance"].items()]
+    return "\n\n".join((
+        format_table(
             ["variant", "ACT extra (cyc)", "tRCD' (ns)", "RFM work (ns)"],
-            rows, title="Ablation: timing charges"))
-        print()
-        rows = [[k, v] for k, v in results["protection"].items()]
-        print(format_table(["variant", "flip rate"], rows,
-                           title="Ablation: scenario-II Monte Carlo flips"))
-        print()
-        rows = [[k, v] for k, v in results["performance"].items()]
-        print(format_table(["variant", "rel. weighted speedup"], rows,
-                           title="Ablation: performance (mix-high)"))
-    print("engine:", engine.stats.summary())
-    print("saved:", save_results(f"ablations_{args.fidelity}", results))
-    if engine.failures:
-        raise SystemExit(1)
-
-
-if __name__ == "__main__":
-    main()
+            timing, title="Ablation: timing charges"),
+        format_table(["variant", "flip rate"], protection,
+                     title="Ablation: scenario-II Monte Carlo flips"),
+        format_table(["variant", "rel. weighted speedup"], performance,
+                     title="Ablation: performance (mix-high)"),
+    ))

@@ -22,13 +22,12 @@ simulation ratios are defined here, the closed-form analytic metrics
 register from the modules that own their models (``table2``, ``table3``,
 ``ablations``).  Because specs are plain data, ``run_spec`` accepts a
 spec rehydrated from JSON just as happily as one built in code --
-``python -m repro.experiments.driver grid.json`` runs a serialized
-experiment end to end.
+``shadow-repro run --spec grid.json`` runs a serialized experiment end
+to end.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -300,47 +299,10 @@ def run_spec(spec: ExperimentSpec, engine: Optional[Engine] = None,
     return output
 
 
-def main(argv: Optional[List[str]] = None) -> None:
-    """Run a serialized experiment spec: ``driver SPEC.json``."""
-    import argparse
-    from repro.experiments.report import (
-        engine_from_args, report_failures, save_results)
-    parser = argparse.ArgumentParser(
-        prog="driver", description="run a serialized experiment spec")
-    parser.add_argument("spec", help="path to an ExperimentSpec JSON file")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes (default: 1, run inline)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore and do not write results/.cache")
-    parser.add_argument("--retries", type=int, default=0, metavar="N",
-                        help="retry each failing job up to N times with "
-                             "exponential backoff (default: 0)")
-    parser.add_argument("--job-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="kill any single job running longer than "
-                             "this (worker pools only; default: none)")
-    parser.add_argument("--keep-going", action="store_true",
-                        help="record failed jobs and finish with partial "
-                             "results instead of aborting")
-    args = parser.parse_args(argv)
-    with open(args.spec) as handle:
-        spec = ExperimentSpec.from_dict(json.load(handle))
-    engine = engine_from_args(args)
-    results = run_spec(spec, engine=engine)
-    report_failures(engine)
-    print("engine:", engine.stats.summary())
-    print("saved:", save_results(f"{spec.name}_{spec.fidelity}", results))
-
-
 __all__ = [
     "AnalyticMetric",
     "METRICS",
     "ResolvedPoint",
     "command_counts",
-    "main",
     "run_spec",
 ]
-
-
-if __name__ == "__main__":
-    main()

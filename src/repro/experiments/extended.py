@@ -14,20 +14,12 @@ RFMs the hazard filter saves on benign traffic.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.config import secure_raaimt
 from repro.experiments.configs import DEFAULT_HCNT, fidelity_config
-from repro.experiments.driver import run_spec
-from repro.experiments.engine import Engine
 from repro.experiments.matrix import matrix_schemes
-from repro.experiments.report import (
-    driver_arg_parser,
-    engine_from_args,
-    format_table,
-    report_failures,
-    save_results,
-)
+from repro.experiments.report import format_table
 from repro.spec import ExperimentSpec, PointSpec, scheme_spec, workload_spec
 from repro.spec.registry import SCHEMES
 
@@ -78,30 +70,12 @@ def spec(fidelity: str = "smoke",
                           meta={"hcnt": hcnt})
 
 
-def run(fidelity: str = "smoke", jobs: int = 1,
-        engine: Optional[Engine] = None) -> Dict:
-    """Run the all-schemes comparison; returns the result dict."""
-    return run_spec(spec(fidelity), engine=engine, jobs=jobs)
-
-
-def main() -> None:
-    """Console entry point: print the comparison table."""
-    args = driver_arg_parser("extended").parse_args()
-    engine = engine_from_args(args)
-    results = run(args.fidelity, jobs=args.jobs, engine=engine)
-    if not report_failures(engine):
-        table = [[name, vals["relative_performance"], vals["rfms"],
-                  vals["rfms_filtered"]]
-                 for name, vals in results["schemes"].items()]
-        print(format_table(
-            ["scheme", "rel. perf", "RFMs", "RFMs filtered"], table,
-            title=f"Extended comparison on mix-blend "
-                  f"(Hcnt={results['hcnt']}, {args.fidelity})"))
-    print("engine:", engine.stats.summary())
-    print("saved:", save_results(f"extended_{args.fidelity}", results))
-    if engine.failures:
-        raise SystemExit(1)
-
-
-if __name__ == "__main__":
-    main()
+def render(results: Dict, fidelity: str) -> str:
+    """The comparison as a text table."""
+    table = [[name, vals["relative_performance"], vals["rfms"],
+              vals["rfms_filtered"]]
+             for name, vals in results["schemes"].items()]
+    return format_table(
+        ["scheme", "rel. perf", "RFMs", "RFMs filtered"], table,
+        title=f"Extended comparison on mix-blend "
+              f"(Hcnt={results['hcnt']}, {fidelity})")

@@ -14,18 +14,11 @@ driver averages in order.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.experiments.configs import HCNT_SWEEP, fidelity_config
-from repro.experiments.driver import run_spec
-from repro.experiments.engine import Engine, archsim_scheme_specs
-from repro.experiments.report import (
-    driver_arg_parser,
-    engine_from_args,
-    format_table,
-    report_failures,
-    save_results,
-)
+from repro.experiments.engine import archsim_scheme_specs
+from repro.experiments.report import format_table
 from repro.spec import ExperimentSpec, PointSpec, workload_spec
 
 
@@ -56,30 +49,12 @@ def spec(fidelity: str = "smoke") -> ExperimentSpec:
                           meta={"hcnt_sweep": list(sweep)})
 
 
-def run(fidelity: str = "smoke", jobs: int = 1,
-        engine: Optional[Engine] = None) -> Dict:
-    """Run the experiment; returns the figure's series as a dict."""
-    return run_spec(spec(fidelity), engine=engine, jobs=jobs)
-
-
-def main() -> None:
-    """Console entry point: print the regenerated figure series."""
-    args = driver_arg_parser("fig11").parse_args()
-    engine = engine_from_args(args)
-    results = run(args.fidelity, jobs=args.jobs, engine=engine)
-    if not report_failures(engine):
-        hcnts = [str(h) for h in results["hcnt_sweep"]]
-        rows = [[key] + [vals[h] for h in hcnts]
-                for key, vals in results["series"].items()]
-        print(format_table(
-            ["series"] + [f"Hcnt={h}" for h in hcnts], rows,
-            title=f"Figure 11: SHADOW vs BlockHammer vs RRS, weighted "
-                  f"speedup relative to baseline ({args.fidelity})"))
-    print("engine:", engine.stats.summary())
-    print("saved:", save_results(f"fig11_{args.fidelity}", results))
-    if engine.failures:
-        raise SystemExit(1)
-
-
-if __name__ == "__main__":
-    main()
+def render(results: Dict, fidelity: str) -> str:
+    """The figure's series as a text table."""
+    hcnts = [str(h) for h in results["hcnt_sweep"]]
+    rows = [[key] + [vals[h] for h in hcnts]
+            for key, vals in results["series"].items()]
+    return format_table(
+        ["series"] + [f"Hcnt={h}" for h in hcnts], rows,
+        title=f"Figure 11: SHADOW vs BlockHammer vs RRS, weighted "
+              f"speedup relative to baseline ({fidelity})")

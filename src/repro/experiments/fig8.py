@@ -15,18 +15,11 @@ deduplicates them, serves cache hits and fans the rest out across
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.experiments.configs import DEFAULT_HCNT, fidelity_config
-from repro.experiments.driver import run_spec
-from repro.experiments.engine import Engine, rfm_scheme_specs
-from repro.experiments.report import (
-    driver_arg_parser,
-    engine_from_args,
-    format_table,
-    report_failures,
-    save_results,
-)
+from repro.experiments.engine import rfm_scheme_specs
+from repro.experiments.report import format_table
 from repro.spec import ExperimentSpec, PointSpec, workload_spec
 from repro.workloads import (
     GAPBS_PROFILES,
@@ -77,31 +70,13 @@ def spec(fidelity: str = "smoke",
     return ExperimentSpec("fig8", fidelity, points, meta={"hcnt": hcnt})
 
 
-def run(fidelity: str = "smoke", hcnt: int = DEFAULT_HCNT,
-        jobs: int = 1, engine: Optional[Engine] = None) -> Dict:
-    """Run the experiment; returns the figure's series as a dict."""
-    return run_spec(spec(fidelity, hcnt), engine=engine, jobs=jobs)
-
-
-def main() -> None:
-    """Console entry point: print the regenerated figure series."""
-    args = driver_arg_parser("fig8").parse_args()
-    engine = engine_from_args(args)
-    results = run(args.fidelity, jobs=args.jobs, engine=engine)
-    if not report_failures(engine):
-        series = results["relative_performance"]
-        workloads = list(next(iter(series.values())))
-        rows = [[name] + [series[name][w] for w in workloads]
-                for name in series]
-        print(format_table(
-            ["scheme"] + workloads, rows,
-            title=f"Figure 8: performance relative to no-mitigation "
-                  f"(Hcnt={results['hcnt']}, {args.fidelity})"))
-    print("engine:", engine.stats.summary())
-    print("saved:", save_results(f"fig8_{args.fidelity}", results))
-    if engine.failures:
-        raise SystemExit(1)
-
-
-if __name__ == "__main__":
-    main()
+def render(results: Dict, fidelity: str) -> str:
+    """The figure's series as a text table."""
+    series = results["relative_performance"]
+    workloads = list(next(iter(series.values())))
+    rows = [[name] + [series[name][w] for w in workloads]
+            for name in series]
+    return format_table(
+        ["scheme"] + workloads, rows,
+        title=f"Figure 8: performance relative to no-mitigation "
+              f"(Hcnt={results['hcnt']}, {fidelity})")

@@ -11,18 +11,10 @@ nonzero exit instead of silently falling out of the comparison set.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.experiments.configs import DEFAULT_HCNT, fidelity_config
-from repro.experiments.driver import run_spec
-from repro.experiments.engine import Engine
-from repro.experiments.report import (
-    driver_arg_parser,
-    engine_from_args,
-    format_table,
-    report_failures,
-    save_results,
-)
+from repro.experiments.report import format_table
 from repro.spec import ExperimentSpec, PointSpec, scheme_spec, workload_spec
 from repro.spec.registry import SCHEMES
 
@@ -56,29 +48,11 @@ def spec(fidelity: str = "smoke",
     return ExperimentSpec("scheme-matrix", fidelity, points)
 
 
-def run(fidelity: str = "smoke", jobs: int = 1,
-        engine: Optional[Engine] = None) -> Dict:
-    """Run the matrix; returns ``{"schemes": {name: rel perf}}``."""
-    return run_spec(spec(fidelity), engine=engine, jobs=jobs)
-
-
-def main() -> None:
-    """Console entry point: print the per-scheme matrix."""
-    args = driver_arg_parser("scheme-matrix").parse_args()
-    engine = engine_from_args(args)
-    results = run(args.fidelity, jobs=args.jobs, engine=engine)
-    if not report_failures(engine):
-        rows = [[name, f"{value:.4f}"]
-                for name, value in sorted(results["schemes"].items())]
-        print(format_table(
-            ["scheme", "rel. perf"], rows,
-            title=f"Scheme matrix on mix-blend "
-                  f"(Hcnt={DEFAULT_HCNT}, {args.fidelity})"))
-    print("engine:", engine.stats.summary())
-    print("saved:", save_results(f"scheme_matrix_{args.fidelity}", results))
-    if engine.failures:
-        raise SystemExit(1)
-
-
-if __name__ == "__main__":
-    main()
+def render(results: Dict, fidelity: str) -> str:
+    """The per-scheme matrix as a text table."""
+    rows = [[name, f"{value:.4f}"]
+            for name, value in sorted(results["schemes"].items())]
+    return format_table(
+        ["scheme", "rel. perf"], rows,
+        title=f"Scheme matrix on mix-blend "
+              f"(Hcnt={DEFAULT_HCNT}, {fidelity})")

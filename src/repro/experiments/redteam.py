@@ -21,16 +21,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.engine import Engine, Job, JobResult
 from repro.experiments.matrix import matrix_schemes
-from repro.experiments.report import (
-    driver_arg_parser,
-    engine_from_args,
-    format_table,
-    report_failures,
-    save_results,
-)
+from repro.experiments.report import format_table
 from repro.sim.system import SystemConfig
 from repro.spec import FaultSpec, scheme_spec
-from repro.spec.registry import FAULT_POLICIES, SCHEMES
+from repro.spec.registry import SCHEMES
 from repro.workloads.hammer import hammer_profile
 
 #: Attack patterns the harness replays (names of ``HammerProfile.attack``).
@@ -180,40 +174,3 @@ def render(report: Dict) -> str:
         title=(f"Red team: Hcnt={report['hcnt']}, "
                f"policy={report['policy']}, seed={report['seed']} "
                f"({report['fidelity']})"))
-
-
-def main() -> None:
-    """Console entry point: attack every scheme, print the outcomes."""
-    parser = driver_arg_parser("redteam")
-    parser.add_argument("--hcnt", type=int, default=None,
-                        help="hammer-count threshold "
-                             "(default: 1024 smoke / 4096 full)")
-    parser.add_argument("--policy", default="retire",
-                        choices=FAULT_POLICIES.names(),
-                        help="degradation policy on detected-"
-                             "uncorrectable errors (default: retire)")
-    parser.add_argument("--seed", type=int, default=1,
-                        help="trace and injection seed (default: 1)")
-    parser.add_argument("--schemes", nargs="*", default=None,
-                        metavar="SCHEME",
-                        help="restrict to these schemes "
-                             "(default: smoke pair / full zoo)")
-    parser.add_argument("--attacks", nargs="*", default=None,
-                        choices=FULL_ATTACKS, metavar="ATTACK",
-                        help=f"restrict to these attacks "
-                             f"(choices: {', '.join(FULL_ATTACKS)})")
-    args = parser.parse_args()
-    engine = engine_from_args(args)
-    report = run(args.fidelity, engine=engine, hcnt=args.hcnt,
-                 policy=args.policy, seed=args.seed,
-                 schemes=args.schemes, attacks=args.attacks)
-    report_failures(engine)
-    print(render(report))
-    print("engine:", engine.stats.summary())
-    print("saved:", save_results(f"redteam_{args.fidelity}", report))
-    if engine.failures:
-        raise SystemExit(1)
-
-
-if __name__ == "__main__":
-    main()

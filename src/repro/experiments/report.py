@@ -1,9 +1,7 @@
-"""Uniform result printing, persistence and CLI plumbing for the
-experiment drivers."""
+"""Uniform result printing and persistence for the experiment drivers."""
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import pathlib
@@ -11,45 +9,10 @@ import tempfile
 from typing import Dict, List, Optional, Sequence
 
 
-def driver_arg_parser(name: str) -> argparse.ArgumentParser:
-    """The shared command line of the engine-backed figure drivers."""
-    parser = argparse.ArgumentParser(
-        prog=name, description=f"regenerate the {name} series")
-    parser.add_argument("fidelity", nargs="?", default="full",
-                        choices=("smoke", "full"),
-                        help="run scale (default: full)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for the simulation grid "
-                             "(default: 1, run inline)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore and do not write results/.cache")
-    parser.add_argument("--retries", type=int, default=0, metavar="N",
-                        help="retry each failing job up to N times with "
-                             "exponential backoff (default: 0)")
-    parser.add_argument("--job-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="kill any single job running longer than "
-                             "this (worker pools only; default: none)")
-    parser.add_argument("--keep-going", action="store_true",
-                        help="on a permanently failed job, record it and "
-                             "finish the sweep with partial results "
-                             "instead of aborting (default: fail fast)")
-    return parser
-
-
-def engine_from_args(args):
-    """Build the experiment :class:`~repro.experiments.engine.Engine`
-    from a :func:`driver_arg_parser` namespace."""
-    from repro.experiments.engine import Engine
-    return Engine(jobs=args.jobs, use_cache=not args.no_cache,
-                  retries=args.retries, job_timeout=args.job_timeout,
-                  keep_going=args.keep_going)
-
-
 def report_failures(engine) -> bool:
     """Print the engine's failure report; True if anything failed.
 
-    Drivers call this before rendering their tables: a keep-going run
+    The CLI calls this before rendering a driver's table: a keep-going run
     with failures has holes in its series, so the table is skipped and
     the failures are listed instead (the partial results are still
     saved, and the failure report rides inside them).

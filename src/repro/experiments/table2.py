@@ -14,8 +14,8 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.analysis.security import SecurityAnalysis, SecurityParams
-from repro.experiments.driver import METRICS, AnalyticMetric, run_spec
-from repro.experiments.report import format_table, save_results, scientific
+from repro.experiments.driver import METRICS, AnalyticMetric
+from repro.experiments.report import format_table, scientific
 from repro.spec import ExperimentSpec, PointSpec
 
 RAAIMT_VALUES = (128, 64, 32)
@@ -63,15 +63,12 @@ def spec(fidelity: str = "full") -> ExperimentSpec:
     return ExperimentSpec("table2", fidelity, points)
 
 
-def run(fidelity: str = "full") -> Dict:
-    """Compute the grid; ``fidelity`` is accepted for interface parity
-    (the analysis is closed-form and always runs at full accuracy)."""
-    return run_spec(spec(fidelity))
+def render(results: Dict, fidelity: str) -> str:
+    """The grid as the paper prints it, paper values alongside.
 
-
-def main() -> None:
-    """Console entry point: print the regenerated Table II."""
-    results = run()
+    ``fidelity`` is accepted for interface parity: the analysis is
+    closed-form and always runs at full accuracy.
+    """
     rows = []
     for raaimt in RAAIMT_VALUES:
         row = [raaimt]
@@ -81,12 +78,7 @@ def main() -> None:
             row.append(f"{scientific(cell['probability'])}{mark} "
                        f"(paper {cell['paper']})")
         rows.append(row)
-    print(format_table(
+    return format_table(
         ["RAAIMT", "Hcnt=8K", "Hcnt=4K", "Hcnt=2K"], rows,
         title="Table II: SHADOW bit-flip probability per DDR5 rank-year "
-              "(* = secure, <1%)"))
-    print("saved:", save_results("table2", results))
-
-
-if __name__ == "__main__":
-    main()
+              "(* = secure, <1%)")

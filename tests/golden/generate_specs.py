@@ -19,6 +19,7 @@ from pathlib import Path
 
 from repro.experiments import fig8, fig12
 from repro.experiments.configs import FidelityConfig
+from repro.experiments.driver import run_spec
 from repro.experiments.engine import Engine
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "spec_driver_golden.json"
@@ -39,8 +40,8 @@ def run_micro():
         original = module.fidelity_config
         module.fidelity_config = lambda name: MICRO
         try:
-            results[module.__name__.rsplit(".", 1)[-1]] = module.run(
-                "smoke", engine=Engine(use_cache=False))
+            results[module.__name__.rsplit(".", 1)[-1]] = run_spec(
+                module.spec("smoke"), engine=Engine(use_cache=False))
         finally:
             module.fidelity_config = original
     return results

@@ -6,7 +6,6 @@ from repro.analysis.area import DDR5_DIE_MM2, AreaModel
 from repro.analysis.circuit import CircuitModel, CircuitParams
 from repro.analysis.power import (
     CommandCounts,
-    IddValues,
     PowerModel,
     SystemPowerModel,
 )

@@ -377,18 +377,18 @@ class TestFig8OnEngine:
     def test_jobs2_matches_jobs1(self, micro_fig8, tmp_path):
         serial = Engine(jobs=1, cache_dir=str(tmp_path / "serial"))
         parallel = Engine(jobs=2, cache_dir=str(tmp_path / "parallel"))
-        r1 = fig8.run("smoke", engine=serial)
-        r2 = fig8.run("smoke", engine=parallel)
+        r1 = run_spec(fig8.spec("smoke"), engine=serial)
+        r2 = run_spec(fig8.spec("smoke"), engine=parallel)
         assert serial.stats.executed > 0
         assert parallel.stats.executed == serial.stats.executed
         assert r1 == r2
 
     def test_second_run_all_cache_hits(self, micro_fig8, tmp_path):
         first = Engine(cache_dir=str(tmp_path))
-        r1 = fig8.run("smoke", engine=first)
+        r1 = run_spec(fig8.spec("smoke"), engine=first)
         assert first.stats.executed == first.stats.unique > 0
         second = Engine(cache_dir=str(tmp_path))
-        r2 = fig8.run("smoke", engine=second)
+        r2 = run_spec(fig8.spec("smoke"), engine=second)
         assert second.stats.executed == 0
         assert second.stats.cache_hits == second.stats.unique
         assert r1 == r2
@@ -396,13 +396,13 @@ class TestFig8OnEngine:
     def test_interrupted_run_resumes(self, micro_fig8, tmp_path):
         """A partial cache is reused, not restarted."""
         warm = Engine(cache_dir=str(tmp_path))
-        fig8.run("smoke", engine=warm)
+        run_spec(fig8.spec("smoke"), engine=warm)
         # Simulate an interruption that lost part of the cache.
         entries = sorted(warm.cache.directory.glob("*.json"))
         for path in entries[: len(entries) // 2]:
             path.unlink()
         resumed = Engine(cache_dir=str(tmp_path))
-        fig8.run("smoke", engine=resumed)
+        run_spec(fig8.spec("smoke"), engine=resumed)
         assert resumed.stats.executed == len(entries) // 2
         assert resumed.stats.cache_hits == \
             resumed.stats.unique - len(entries) // 2

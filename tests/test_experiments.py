@@ -1,11 +1,16 @@
 """Experiment drivers: reporting helpers and the fast (analytic) runs."""
 
+import importlib
 import json
 import os
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.experiments import fidelity_config
+from repro.cli import EXPERIMENTS, _results_stem
+from repro.experiments import fidelity_config, run_spec
 from repro.experiments import table2, table3
 from repro.experiments.report import format_table, save_results, scientific
 from repro.core.factories import make_shadow, make_shadow_with_trcd
@@ -103,14 +108,14 @@ class TestSchemeFactories:
 
 class TestAnalyticDrivers:
     def test_table2_structure(self):
-        results = table2.run()
+        results = run_spec(table2.spec())
         assert len(results["cells"]) == 9
         cell = results["cells"]["64,4096"]
         assert cell["secure"]
         assert cell["probability"] == pytest.approx(1.9e-14, rel=1.0)
 
     def test_table3_structure(self):
-        results = table3.run()
+        results = run_spec(table3.spec())
         assert set(results["rows"]) == {"tRCD'", "row-copy", "tRCD_RM",
                                         "tWR_RM", "tRD_RM"}
         assert results["shuffle_total_ns"]["DDR4-2666"] == \
@@ -139,6 +144,50 @@ class TestExtended:
             assert "shadow-filtered" not in names
 
 
+RESULTS = Path(__file__).resolve().parent.parent / "results"
+
+#: Experiment -> (table title prefix, the keys that get one row each).
+_RENDERED = {
+    "table2": ("Table II:", lambda r: sorted(
+        {key.split(",")[0] for key in r["cells"]})),
+    "table3": ("Table III:", lambda r: list(r["rows"])),
+    "fig8": ("Figure 8:", lambda r: list(r["relative_performance"])),
+    "fig9": ("Figure 9:", lambda r: list(r["series"])),
+    "fig10": ("Figure 10:", lambda r: list(r["series"])),
+    "fig11": ("Figure 11:", lambda r: list(r["series"])),
+    "fig12": ("Figure 12:", lambda r: list(r["series"])),
+    "ablations": ("Ablation: timing charges",
+                  lambda r: list(r["protection"])),
+    "extended": ("Extended comparison", lambda r: list(r["schemes"])),
+    "scheme-matrix": ("Scheme matrix", lambda r: list(r["schemes"])),
+}
+
+
+def _driver(name):
+    return importlib.import_module(
+        f"repro.experiments.{EXPERIMENTS[name]}")
+
+
+def _cells(line):
+    return set(re.split(r"\s{2,}", line.strip()))
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_render_committed_results(name):
+    """Each driver renders its committed smoke (or table) results."""
+    module = _driver(name)
+    stem = _results_stem(module.spec("smoke"))
+    results = json.loads((RESULTS / f"{stem}.json").read_text())
+    title, keys = _RENDERED[name]
+    keys = set(keys(results))
+    text = module.render(results, results["fidelity"])
+    lines = text.splitlines()
+    assert lines[0].startswith(title)
+    rows = [line for line in lines if _cells(line) & keys]
+    assert len(rows) == len(keys)
+    assert set().union(*map(_cells, rows)) >= keys
+
+
 class TestExperimentCommand:
     def test_analytic_drivers_reject_engine_flags(self):
         from repro.cli import main
@@ -146,15 +195,64 @@ class TestExperimentCommand:
             with pytest.raises(SystemExit):
                 main(["experiment", "table2", *flag])
 
+    @staticmethod
+    def _stub_run_and_save(monkeypatch):
+        import repro.cli
+        seen = []
+
+        def run_and_save(spec, args, render=None):
+            seen.append((spec, args, render))
+            return 0
+
+        monkeypatch.setattr(repro.cli, "_run_and_save", run_and_save)
+        return seen
+
     def test_engine_flags_reach_extended(self, monkeypatch):
-        import sys
         from repro.cli import main
         from repro.experiments import extended
-        seen = []
-        monkeypatch.setattr(sys, "argv", ["pytest"])
-        monkeypatch.setattr(extended, "main",
-                            lambda: seen.append(list(sys.argv)))
+        seen = self._stub_run_and_save(monkeypatch)
         assert main(["experiment", "extended", "smoke", "--jobs", "2",
                      "--no-cache"]) == 0
-        assert seen == [["extended", "smoke", "--jobs", "2",
-                         "--no-cache"]]
+        [(spec, args, render)] = seen
+        assert (spec.name, spec.fidelity) == ("extended", "smoke")
+        assert render is extended.render
+        assert (args.jobs, args.no_cache, args.retries, args.job_timeout,
+                args.keep_going) == (2, True, 0, None, False)
+
+    def test_leaves_sys_argv_alone(self, monkeypatch):
+        from repro.cli import main
+        self._stub_run_and_save(monkeypatch)
+        argv = ["shadow-repro", "experiment", "fig12"]
+        monkeypatch.setattr(sys, "argv", argv)
+        assert main(["experiment", "fig12", "smoke", "--jobs", "2"]) == 0
+        assert sys.argv is argv
+        assert argv == ["shadow-repro", "experiment", "fig12"]
+
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_dump_spec_defaults_to_the_full_run(self, name, capsys):
+        """The dumped spec is the one ``experiment <name>`` runs."""
+        from repro.cli import main
+        assert main(["experiment", name, "--dump-spec"]) == 0
+        dumped = json.loads(capsys.readouterr().out)
+        assert dumped["fidelity"] == "full"
+        assert dumped == _driver(name).spec("full").to_dict()
+
+    @pytest.mark.parametrize("name, saved", [
+        ("scheme-matrix", "scheme_matrix_smoke"),
+        ("table2", "table2"),
+    ])
+    def test_run_spec_saves_like_experiment(self, name, saved, tmp_path,
+                                            monkeypatch, capsys):
+        """``run --spec`` on a dumped spec saves under the same name."""
+        from repro.cli import main
+        from repro.experiments import driver, report
+        monkeypatch.chdir(tmp_path)
+        assert main(["experiment", name, "smoke", "--dump-spec"]) == 0
+        (tmp_path / "spec.json").write_text(capsys.readouterr().out)
+        names = []
+        monkeypatch.setattr(driver, "run_spec",
+                            lambda spec, engine=None: {})
+        monkeypatch.setattr(report, "save_results",
+                            lambda name, payload: names.append(name))
+        assert main(["run", "--spec", "spec.json"]) == 0
+        assert names == [saved]
