@@ -3,7 +3,8 @@
 Every profile is fully seeded: the simulated outcome (cycles, command
 counts) is deterministic, so ``cycles / wall_seconds`` is a clean
 throughput metric for the command-level hot path.  Wall time is the only
-noisy quantity; ``repeats`` takes the best of N runs to suppress jitter.
+noisy quantity; one timing loop (:func:`_measure`) serves the bench
+run and both overhead gates.
 
 The report format (schema ``shadow-repro-bench/1``) keeps one entry per
 variant (``quick`` / ``full``) so CI's quick runs compare against the
@@ -20,7 +21,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim import System, SystemConfig
 from repro.spec import FaultSpec, SchemeSpec
@@ -28,12 +29,16 @@ from repro.workloads.trace import WorkloadProfile
 
 SCHEMA = "shadow-repro-bench/1"
 
-#: Overhead-gate measurement shape: each timed block covers at least
-#: this much wall (fast profiles run several times per block), and the
-#: interleaved on/off block pairs repeat for this many rounds.
-_GATE_BLOCK_SECONDS = 0.25
-_GATE_MAX_INNER = 16
+#: Measurement shape (:func:`_measure`): each timed block covers at
+#: least this much wall (fast profiles run several times per block),
+#: and the overhead gates' interleaved off/on blocks repeat for
+#: ``_GATE_ROUNDS`` rounds.
+_BLOCK_SECONDS = 0.25
+_MAX_RUNS_PER_BLOCK = 16
 _GATE_ROUNDS = 9
+
+#: Overhead-gate bounds (fraction of off-leg wall) per "on" leg kind.
+OVERHEAD = {"obs": 0.15, "faults": 0.20}
 
 #: Requests-per-thread divisor for the quick (CI) variant.
 QUICK_DIVISOR = 8
@@ -171,41 +176,107 @@ def _profile_top(profiler: cProfile.Profile, top_n: int) -> List[Dict]:
     return rows[:top_n]
 
 
-def run_one(profile: BenchProfile, quick: bool = False, repeats: int = 1,
-            with_cprofile: bool = False, top_n: int = 15,
-            obs_factory: Optional[Callable[[], object]] = None) -> Dict:
-    """Run one pinned profile; returns its report entry.
+Leg = Callable[[BenchProfile, bool], Tuple[System, Optional[object]]]
 
-    ``obs_factory`` builds a fresh :class:`~repro.obs.Observability` per
-    repeat (observability state is single-run); ``None`` benches the
-    instrumentation-off fast path.
+
+def _bare(profile: BenchProfile, quick: bool):
+    """The uninstrumented leg: the profile as pinned."""
+    return profile.build(quick), None
+
+
+def _measure(profile: BenchProfile, quick: bool, legs: Sequence[Leg],
+             rounds: int):
+    """Time each of ``legs`` over ``rounds`` interleaved blocks.
+
+    A leg is ``(profile, quick) -> (system, closeable)`` (closeable may
+    be ``None``).  A ~20ms quick profile timed alone jitters by +-50%
+    per draw on a shared host, so one bare probe run calibrates
+    ``inner``: each timed block runs the leg that many times back to
+    back, covering at least ``_BLOCK_SECONDS`` of wall (at most
+    ``_MAX_RUNS_PER_BLOCK`` runs).  Each round times one block per leg,
+    the order reversing every round so load drift and within-round
+    effects (GC debt, a burst spanning one block) hit every leg alike.
+
+    Returns ``(probe, inner, walls)``: the probe's result, the runs per
+    block, and per leg the per-run wall of each block.  Raises
+    ``RuntimeError`` if any run of any leg simulates a different cycle
+    count from the probe -- instrumentation must never perturb the
+    simulated outcome.
     """
-    if repeats <= 0:
-        raise ValueError("repeats must be positive")
-    best_wall = None
-    result = None
-    for _ in range(repeats):
-        obs = obs_factory() if obs_factory is not None else None
-        system = profile.build(quick, obs=obs)
+    def block(leg: Leg, inner: int):
+        """Wall time of ``inner`` fresh ``leg`` runs back to back, and
+        their results; builds and closes stay outside the timed region."""
+        pairs = [leg(profile, quick) for _ in range(inner)]
         t0 = time.perf_counter()
-        result = system.run()
+        results = [system.run() for system, _closer in pairs]
         wall = time.perf_counter() - t0
-        if obs is not None:
-            obs.close()
-        if best_wall is None or wall < best_wall:
-            best_wall = wall
-    entry = {
-        "description": profile.description,
-        "quick": quick,
-        "threads": profile.threads,
+        for _system, closer in pairs:
+            if closer is not None:
+                closer.close()
+        return wall, results
+
+    probe_wall, (probe,) = block(_bare, 1)
+    inner = min(_MAX_RUNS_PER_BLOCK, max(1, round(
+        _BLOCK_SECONDS / max(probe_wall, 1e-6))))
+    walls: List[List[float]] = [[] for _ in legs]
+    order = list(enumerate(legs))
+    for _ in range(rounds):
+        for i, leg in order:
+            wall, results = block(leg, inner)
+            for result in results:
+                if result.cycles != probe.cycles:
+                    raise RuntimeError(
+                        f"{profile.name}: leg {leg.__name__} changed the "
+                        f"simulated outcome ({probe.cycles} vs "
+                        f"{result.cycles} cycles)")
+            walls[i].append(wall / inner)
+        order.reverse()
+    return probe, inner, walls
+
+
+def _entry(result, wall: float, inner: int) -> Dict:
+    """Report fields for one measured leg at per-run ``wall``; the
+    simulated counts are the probe's, which every leg reproduced."""
+    return {
         "requests": result.requests_issued,
         "cycles": result.cycles,
         "acts": result.stats.acts,
         "row_hits": result.stats.row_hits,
         "refreshes": result.refreshes,
         "rfms": result.rfms,
-        "wall_s": round(best_wall, 4),
-        "cycles_per_s": round(result.cycles / best_wall, 1),
+        "wall_s": round(wall, 4),
+        "cycles_per_s": round(result.cycles / wall, 1),
+        "runs_per_block": inner,
+    }
+
+
+def _profiles(names: Optional[List[str]],
+              default: List[str]) -> List[BenchProfile]:
+    """The named profiles (``default`` when ``names`` is None)."""
+    names = default if names is None else names
+    unknown = sorted(set(names) - set(BENCH_PROFILES))
+    if unknown:
+        raise ValueError(f"unknown bench profiles: {unknown}; "
+                         f"choose from {sorted(BENCH_PROFILES)}")
+    return [BENCH_PROFILES[name] for name in names]
+
+
+def run_one(profile: BenchProfile, quick: bool = False, repeats: int = 1,
+            with_cprofile: bool = False, top_n: int = 15) -> Dict:
+    """Run one pinned profile; returns its report entry.
+
+    The per-run wall is the *minimum* over ``repeats`` calibrated
+    blocks (see :func:`_measure`): best of N, as the committed
+    baselines were recorded.
+    """
+    if repeats <= 0:
+        raise ValueError("repeats must be positive")
+    result, inner, (walls,) = _measure(profile, quick, [_bare], repeats)
+    entry = {
+        "description": profile.description,
+        "quick": quick,
+        "threads": profile.threads,
+        **_entry(result, min(walls), inner),
     }
     if with_cprofile:
         system = profile.build(quick)
@@ -219,9 +290,7 @@ def run_one(profile: BenchProfile, quick: bool = False, repeats: int = 1,
 
 def run_bench(names: Optional[List[str]] = None, quick: bool = False,
               repeats: int = 1, with_cprofile: bool = False,
-              log=print,
-              obs_factory: Optional[Callable[[], object]] = None,
-              keep_going: bool = False) -> Dict[str, Dict]:
+              log=print, keep_going: bool = False) -> Dict[str, Dict]:
     """Run the pinned profile set; returns ``{name: entry}``.
 
     With ``keep_going``, a profile that raises becomes an ``{"error":
@@ -229,23 +298,17 @@ def run_bench(names: Optional[List[str]] = None, quick: bool = False,
     stays complete and :func:`check_regression` flags the failure --
     instead of one bad profile aborting the whole bench run.
     """
-    if names is None:
-        names = list(BENCH_PROFILES)
-    unknown = sorted(set(names) - set(BENCH_PROFILES))
-    if unknown:
-        raise ValueError(f"unknown bench profiles: {unknown}; "
-                         f"choose from {sorted(BENCH_PROFILES)}")
     results = {}
-    for name in names:
+    for profile in _profiles(names, list(BENCH_PROFILES)):
+        name = profile.name
         try:
-            entry = run_one(BENCH_PROFILES[name], quick=quick,
-                            repeats=repeats, with_cprofile=with_cprofile,
-                            obs_factory=obs_factory)
+            entry = run_one(profile, quick=quick, repeats=repeats,
+                            with_cprofile=with_cprofile)
         except Exception as exc:
             if not keep_going:
                 raise
             entry = {
-                "description": BENCH_PROFILES[name].description,
+                "description": profile.description,
                 "quick": quick,
                 "error": {"type": type(exc).__name__,
                           "message": str(exc)},
@@ -263,194 +326,85 @@ def run_bench(names: Optional[List[str]] = None, quick: bool = False,
     return results
 
 
-def _trace_obs_factory(trace_dir, profile_name: str):
-    """Factory of per-repeat Observability hubs tracing to a file."""
-    from repro.obs import Observability
-    trace_dir = Path(trace_dir)
-    trace_dir.mkdir(parents=True, exist_ok=True)
-    path = trace_dir / f"{profile_name}.trace.json"
-
-    def factory():
-        return Observability.to_chrome(path, sample_interval=10_000)
-
-    return factory
-
-
-def run_overhead(names: Optional[List[str]] = None, quick: bool = False,
-                 repeats: int = 1, trace_dir=None,
-                 retry_over: Optional[float] = None,
+def run_overhead(kind: str, names: Optional[List[str]] = None,
+                 quick: bool = False, trace_dir=None,
                  log=print) -> Dict[str, Dict]:
-    """Measure instrumentation overhead: each profile off vs fully on.
+    """Measure one instrumentation's overhead: each profile off vs on.
 
-    The "on" leg enables metrics, Chrome tracing (to ``trace_dir`` when
-    given, an in-memory sink otherwise) and the snapshot sampler -- the
-    most expensive observability configuration.  Both legs run on this
-    host back to back, so the ratio cancels machine speed; the committed
-    baseline report plays no part.  Returns ``{name: {"off": entry,
-    "on": entry, "overhead": fraction}}``.
+    ``kind`` picks the "on" leg and its gate bound in :data:`OVERHEAD`:
 
-    A percent-level ratio needs care on a noisy host, so the
-    measurement differs from :func:`run_one` in three ways.  The legs
-    are *interleaved* -- each round times one on and one off block back
-    to back (order alternating), so load drift between legs cancels.
-    Each timed block runs a fast profile several times back-to-back
-    (``inner``) so every block covers at least ``_GATE_BLOCK_SECONDS``
-    of wall: a ~20ms profile timed alone jitters by +-50% per draw,
-    which no feasible number of rounds averages away.  And the per-leg
-    estimate is the *second-smallest* block across rounds -- the plain
-    minimum is an extreme statistic one lucky draw can skew, while
-    means and medians absorb the host's multiplicative load bursts.
+    * ``"obs"`` -- metrics, Chrome tracing (to ``trace_dir`` when
+      given, an in-memory sink otherwise) and the snapshot sampler, the
+      most expensive observability configuration;
+    * ``"faults"`` -- a fresh :class:`~repro.faults.FaultInjector`
+      (default :class:`~repro.spec.FaultSpec`) on the controller's
+      observer seam, isolating the per-ACT accumulation cost.  Profiles
+      that bake in their own ``faults`` (``faults-on``) are excluded:
+      their off leg would not be injection-free.
 
-    ``retry_over`` (a fraction, normally the gate threshold): a profile
-    whose first estimate exceeds it is measured once more and the lower
-    of the two estimates kept.  Load-burst noise only ever *inflates* an
-    estimate, so min-of-two-measurements is strictly closer to the true
-    overhead; a genuine regression shows up in both and still fails.
+    Both legs run interleaved on this host (:func:`_measure`), so the
+    ratio cancels machine speed; the committed baseline report plays
+    no part.  Each leg's estimate is the *second-smallest* of
+    ``_GATE_ROUNDS`` blocks -- the plain minimum is an extreme
+    statistic one lucky draw can skew, while means and medians absorb
+    the host's multiplicative load bursts.  A profile whose first
+    estimate exceeds the bound is measured once more and the lower
+    estimate kept: load-burst noise only ever *inflates* an estimate,
+    while a genuine regression shows up in both and still fails.
+
+    Returns ``{name: {"off": entry, "on": entry, "overhead": fraction}}``.
     """
-    if names is None:
-        names = list(BENCH_PROFILES)
-    unknown = sorted(set(names) - set(BENCH_PROFILES))
-    if unknown:
-        raise ValueError(f"unknown bench profiles: {unknown}; "
-                         f"choose from {sorted(BENCH_PROFILES)}")
-    from repro.obs import Observability
-    results = {}
-    for name in names:
-        profile = BENCH_PROFILES[name]
+    bound = OVERHEAD[kind]
+    if kind == "obs":
+        from repro.obs import Observability
         if trace_dir is not None:
-            factory = _trace_obs_factory(trace_dir, name)
-        else:
-            def factory():
-                return Observability.in_memory(sample_interval=10_000)
+            trace_dir = Path(trace_dir)
+            trace_dir.mkdir(parents=True, exist_ok=True)
 
-        def make_on(profile=profile, factory=factory):
-            obs = factory()
+        def obs_on(profile, quick):
+            if trace_dir is None:
+                obs = Observability.in_memory(sample_interval=10_000)
+            else:
+                obs = Observability.to_chrome(
+                    trace_dir / f"{profile.name}.trace.json",
+                    sample_interval=10_000)
             return profile.build(quick, obs=obs), obs
 
-        results[name] = _overhead_gate(
-            name, profile, quick, repeats, retry_over, make_on,
-            what="observability", log=log)
-    return results
-
-
-def run_fault_overhead(names: Optional[List[str]] = None,
-                       quick: bool = False, repeats: int = 1,
-                       retry_over: Optional[float] = None,
-                       log=print) -> Dict[str, Dict]:
-    """Measure fault-injection overhead: each profile off vs injector on.
-
-    The "on" leg attaches a fresh :class:`~repro.faults.FaultInjector`
-    (default :class:`~repro.spec.FaultSpec`, so online disturbance
-    accumulation at the paper's Hcnt) to the controller's observer
-    seam; no other instrumentation runs, so the ratio isolates the
-    per-ACT accumulation cost.  Shares :func:`run_overhead`'s
-    interleaved-block statistics, and its probe-vs-on cycles check
-    doubles as the passivity assert: injection must never perturb the
-    simulated outcome.  Profiles that bake in their own ``faults``
-    (e.g. ``faults-on``) are excluded -- their off leg would not be
-    injection-free.
-    """
-    if names is None:
-        names = [n for n, p in BENCH_PROFILES.items() if p.faults is None]
-    unknown = sorted(set(names) - set(BENCH_PROFILES))
-    if unknown:
-        raise ValueError(f"unknown bench profiles: {unknown}; "
-                         f"choose from {sorted(BENCH_PROFILES)}")
-    baked = sorted(n for n in names if BENCH_PROFILES[n].faults is not None)
-    if baked:
-        raise ValueError(f"profiles {baked} bake in fault injection; "
-                         f"their off leg cannot be injection-free")
-    results = {}
-    for name in names:
-        profile = BENCH_PROFILES[name]
-
-        def make_on(profile=profile):
+        on_leg = obs_on
+        profiles = _profiles(names, list(BENCH_PROFILES))
+    else:
+        def faults_on(profile, quick):
             return profile.build(quick, observer=FaultSpec().build()), None
 
-        results[name] = _overhead_gate(
-            name, profile, quick, repeats, retry_over, make_on,
-            what="fault injection", log=log)
+        on_leg = faults_on
+        profiles = _profiles(names, [n for n, p in BENCH_PROFILES.items()
+                                     if p.faults is None])
+        baked = [p.name for p in profiles if p.faults is not None]
+        if baked:
+            raise ValueError(f"profiles {baked} bake in fault injection; "
+                             f"their off leg cannot be injection-free")
+    results = {}
+    for profile in profiles:
+        attempts = []
+        for _attempt in range(2):
+            probe, inner, walls = _measure(profile, quick,
+                                           [on_leg, _bare], _GATE_ROUNDS)
+            on_wall, off_wall = (sorted(w)[1] for w in walls)
+            attempts.append((on_wall / off_wall - 1.0, off_wall, on_wall,
+                             inner))
+            if attempts[-1][0] <= bound:
+                break
+        overhead, off_wall, on_wall, inner = min(attempts)
+        if log is not None:
+            log(f"{profile.name:>18}: off {off_wall:.3f}s, on "
+                f"{on_wall:.3f}s (x{inner} runs/block) "
+                f"-> {overhead:+.1%} overhead")
+        results[profile.name] = {
+            "off": _entry(probe, off_wall, inner),
+            "on": _entry(probe, on_wall, inner),
+            "overhead": round(overhead, 4),
+        }
     return results
-
-
-def _overhead_gate(name: str, profile: BenchProfile, quick: bool,
-                   repeats: int, retry_over: Optional[float], make_on,
-                   what: str, log) -> Dict:
-    """Interleaved on-vs-off measurement for one profile.
-
-    ``make_on()`` builds one "on"-leg run as ``(system, closeable)``
-    (closeable may be ``None``); the off leg is the bare profile.  See
-    :func:`run_overhead` for the statistics rationale.  Raises
-    ``RuntimeError`` if the on leg changes the simulated cycle count.
-    """
-    def block(inner, on=False):
-        """One timed region of ``inner`` back-to-back fresh runs."""
-        pairs = []
-        for _ in range(inner):
-            pairs.append(make_on() if on
-                         else (profile.build(quick), None))
-        t0 = time.perf_counter()
-        result = None
-        for system, _closer in pairs:
-            result = system.run()
-        wall = time.perf_counter() - t0
-        for _system, closer in pairs:
-            if closer is not None:
-                closer.close()
-        return wall, result
-
-    probe_wall, probe = block(1)
-    inner = min(_GATE_MAX_INNER, max(1, round(
-        _GATE_BLOCK_SECONDS / max(probe_wall, 1e-6))))
-    rounds = max(repeats, _GATE_ROUNDS)
-
-    def measure():
-        off_walls, on_walls, result = [], [], None
-        for r in range(rounds):
-            # Alternate leg order so within-round effects (GC debt,
-            # a load burst spanning one pair) don't bias one leg.
-            if r % 2 == 0:
-                wall, result = block(inner, on=True)
-                on_walls.append(wall)
-                off_walls.append(block(inner)[0])
-            else:
-                off_walls.append(block(inner)[0])
-                wall, result = block(inner, on=True)
-                on_walls.append(wall)
-        return sorted(off_walls)[1], sorted(on_walls)[1], result
-
-    off_wall, on_wall, on_result = measure()
-    if probe.cycles != on_result.cycles:
-        raise RuntimeError(
-            f"{name}: {what} changed the simulated outcome "
-            f"({probe.cycles} vs {on_result.cycles} cycles)")
-    overhead = on_wall / off_wall - 1.0
-    if retry_over is not None and overhead > retry_over:
-        off2, on2, on_result = measure()
-        if on2 / off2 < on_wall / off_wall:
-            off_wall, on_wall = off2, on2
-            overhead = on_wall / off_wall - 1.0
-    if log is not None:
-        log(f"{name:>18}: off {off_wall / inner:.3f}s, on "
-            f"{on_wall / inner:.3f}s (x{inner} runs/block) "
-            f"-> {overhead:+.1%} overhead")
-    return {
-        "off": _leg_entry(off_wall, inner, probe),
-        "on": _leg_entry(on_wall, inner, on_result),
-        "overhead": round(overhead, 4),
-    }
-
-
-def _leg_entry(block_wall: float, inner: int, result) -> Dict:
-    """Report entry for one overhead-gate leg (per-run normalized)."""
-    wall = block_wall / inner
-    return {
-        "cycles": result.cycles,
-        "requests": result.requests_issued,
-        "wall_s": round(wall, 4),
-        "cycles_per_s": round(result.cycles / wall, 1),
-        "runs_per_block": inner,
-    }
 
 
 def check_overhead(results: Dict[str, Dict],
@@ -463,7 +417,7 @@ def check_overhead(results: Dict[str, Dict],
     for name, entry in results.items():
         if entry["overhead"] > max_overhead:
             failures.append(
-                f"{name}: instrumentation overhead {entry['overhead']:+.1%} "
+                f"{name}: overhead {entry['overhead']:+.1%} "
                 f"exceeds {max_overhead:.0%}")
     return failures
 

@@ -289,73 +289,39 @@ def cmd_templating(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    """Handle ``shadow-repro bench`` (exit 1 on a baseline regression)."""
+    """Handle ``shadow-repro bench`` (exit 1 when a gate fails)."""
     from repro.bench import (
-        check_overhead, check_regression, load_report,
+        OVERHEAD, check_overhead, check_regression, load_report,
         run_bench, run_overhead, write_report)
 
     names = args.profiles or None
     variant = "quick" if args.quick else "full"
-
-    if args.fault_overhead:
-        from repro.bench import run_fault_overhead
-        try:
-            overhead = run_fault_overhead(names=names, quick=args.quick,
-                                          repeats=args.repeats,
-                                          retry_over=args.max_fault_overhead)
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-        failures = check_overhead(overhead, args.max_fault_overhead)
-        if failures:
-            for message in failures:
-                print(f"OVERHEAD: {message}", file=sys.stderr)
-            return 1
-        print(f"fault-injection overhead within "
-              f"{args.max_fault_overhead:.0%} on every profile")
-        return 0
+    if args.trace_dir and args.overhead != "obs":
+        raise SystemExit("--trace-dir applies only to --overhead obs")
 
     if args.overhead:
+        bound = OVERHEAD[args.overhead]
         try:
-            overhead = run_overhead(names=names, quick=args.quick,
-                                    repeats=args.repeats,
-                                    trace_dir=args.trace_dir,
-                                    retry_over=args.max_overhead)
+            overhead = run_overhead(args.overhead, names=names,
+                                    quick=args.quick,
+                                    trace_dir=args.trace_dir)
         except ValueError as exc:
             raise SystemExit(str(exc))
         if args.trace_dir:
             print(f"traces written under {args.trace_dir}")
-        failures = check_overhead(overhead, args.max_overhead)
+        failures = check_overhead(overhead, bound)
         if failures:
             for message in failures:
                 print(f"OVERHEAD: {message}", file=sys.stderr)
             return 1
-        print(f"instrumentation overhead within {args.max_overhead:.0%} "
+        print(f"{args.overhead} overhead within {bound:.0%} "
               f"on every profile")
         return 0
-
-    obs_factory = None
-    if args.obs:
-        from repro.obs import Observability
-        if args.trace_dir:
-            from repro.bench.harness import _trace_obs_factory
-            # One factory per profile needs per-name paths; simplest is
-            # to run profiles individually below, so fall back to the
-            # in-memory sink when benching multiple profiles at once.
-            if names is not None and len(names) == 1:
-                obs_factory = _trace_obs_factory(args.trace_dir, names[0])
-            else:
-                raise SystemExit("--trace-dir with --obs needs exactly "
-                                 "one profile via --profiles (use "
-                                 "--overhead for the full set)")
-        else:
-            def obs_factory():
-                return Observability.in_memory(sample_interval=10_000)
 
     try:
         results = run_bench(names=names, quick=args.quick,
                             repeats=args.repeats,
                             with_cprofile=args.profile,
-                            obs_factory=obs_factory,
                             keep_going=args.keep_going)
     except ValueError as exc:
         raise SystemExit(str(exc))
@@ -549,12 +515,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "instead of running it (feed to 'run --spec')")
     exp_p.set_defaults(func=cmd_experiment)
 
+    from repro.bench import OVERHEAD
+
     bench_p = sub.add_parser(
         "bench", help="pinned scheduler benchmarks")
     bench_p.add_argument("--quick", action="store_true",
                          help="shortened CI variant of each profile")
     bench_p.add_argument("--repeats", type=int, default=1, metavar="N",
-                         help="take the best wall time of N runs")
+                         help="take the best per-run wall of N timed "
+                              "blocks")
     bench_p.add_argument("--profile", action="store_true",
                          help="also report cProfile top functions")
     bench_p.add_argument("--profiles", nargs="*", metavar="NAME",
@@ -571,27 +540,16 @@ def build_parser() -> argparse.ArgumentParser:
                          help="a profile that fails to run is recorded "
                               "as an error entry instead of aborting "
                               "the whole bench sweep")
-    bench_p.add_argument("--obs", action="store_true",
-                         help="run with full observability on (metrics + "
-                              "trace + sampler)")
+    bench_p.add_argument("--overhead", choices=sorted(OVERHEAD),
+                         help="gate one instrumentation's wall-time "
+                              "overhead instead of benching: each "
+                              "profile runs off and on in interleaved "
+                              "blocks (obs: full observability, max "
+                              f"{OVERHEAD['obs']}; faults: in-loop fault "
+                              f"injection, max {OVERHEAD['faults']})")
     bench_p.add_argument("--trace-dir", metavar="DIR",
-                         help="write Chrome traces of observability-on "
-                              "runs under this directory")
-    bench_p.add_argument("--overhead", action="store_true",
-                         help="measure instrumentation overhead: run each "
-                              "profile off and on, compare wall times")
-    bench_p.add_argument("--max-overhead", type=float, default=0.15,
-                         metavar="FRAC",
-                         help="allowed on-vs-off slowdown with --overhead "
-                              "(default 0.15)")
-    bench_p.add_argument("--fault-overhead", action="store_true",
-                         help="measure fault-injection overhead: run each "
-                              "profile with and without an in-loop "
-                              "injector, compare wall times")
-    bench_p.add_argument("--max-fault-overhead", type=float, default=0.20,
-                         metavar="FRAC",
-                         help="allowed injector-on slowdown with "
-                              "--fault-overhead (default 0.20)")
+                         help="with --overhead obs, write the on leg's "
+                              "Chrome traces under this directory")
     bench_p.set_defaults(func=cmd_bench)
 
     from repro.experiments.redteam import FULL_ATTACKS

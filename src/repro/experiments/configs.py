@@ -12,9 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.dram.device import DramGeometry
-from repro.dram.timing import DDR4_2666, DDR5_4800, TimingParams
-from repro.sim.system import SystemConfig
 from repro.spec import SimSpec, TimingSpec
 
 
@@ -35,28 +32,12 @@ class FidelityConfig:
     tracker_threads: int = 8
     tracker_requests: int = 3000
 
-    def system_config(self, timing: TimingParams = DDR4_2666,
-                      requests: Optional[int] = None,
-                      seed: int = 3) -> SystemConfig:
-        # `is not None` (not truthiness): an explicit ``requests=0`` must
-        # reach SystemConfig.__post_init__ and be rejected there, not be
-        # silently replaced by the fidelity default.
-        return SystemConfig(
-            geometry=DramGeometry(),     # paper Table IV organisation
-            timing=timing,
-            requests_per_thread=(requests if requests is not None
-                                 else self.requests_per_thread),
-            seed=seed,
-        )
-
     def sim_spec(self, grade: str = "DDR4-2666",
                  requests: Optional[int] = None, seed: int = 3) -> SimSpec:
-        """The declarative form of :meth:`system_config`.
-
-        ``SimSpec.to_system_config()`` of the returned spec is equal to
-        the ``SystemConfig`` built directly, so spec-driven jobs hash to
-        the same cache keys as the pre-spec drivers' jobs.
-        """
+        """The run's simulation settings: paper geometry (Table IV),
+        ``grade`` timing, and the fidelity's request budget unless
+        ``requests`` overrides it (an explicit 0 reaches
+        :class:`SimSpec` and is rejected there)."""
         return SimSpec(
             timing=TimingSpec(grade),
             requests=(requests if requests is not None
@@ -96,8 +77,6 @@ HCNT_SWEEP = (16384, 8192, 4096, 2048)
 DEFAULT_HCNT = 4096
 
 __all__ = [
-    "DDR4_2666",
-    "DDR5_4800",
     "DEFAULT_HCNT",
     "FidelityConfig",
     "HCNT_SWEEP",

@@ -30,17 +30,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.obs.metrics import (
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricRegistry,
-    NullCounter,
-    NullGauge,
-    NullHistogram,
-    NullRegistry,
-)
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricRegistry
 from repro.obs.sampler import SnapshotSampler, collect_summary
 from repro.obs.trace import (
     ChromeTraceSink,
@@ -116,11 +106,6 @@ __all__ = [
     "JsonlTraceSink",
     "MemoryTraceSink",
     "MetricRegistry",
-    "NULL_REGISTRY",
-    "NullCounter",
-    "NullGauge",
-    "NullHistogram",
-    "NullRegistry",
     "Observability",
     "SnapshotSampler",
     "TraceSink",

@@ -1,9 +1,11 @@
 """The bench harness: determinism, report I/O, regression gating."""
 
+import dataclasses
 from pathlib import Path
 
 import pytest
 
+import repro.bench.harness as harness
 from repro.bench import (
     BENCH_PROFILES,
     check_overhead,
@@ -13,7 +15,7 @@ from repro.bench import (
     run_overhead,
     write_report,
 )
-from repro.bench.harness import SCHEMA, run_one
+from repro.bench.harness import SCHEMA, _bare, _measure, run_one
 
 
 class TestProfiles:
@@ -121,24 +123,58 @@ class TestRegressionGate:
 
 
 class TestOverheadMode:
-    def test_run_one_with_obs_same_outcome(self):
-        from repro.obs import Observability
-        profile = BENCH_PROFILES["refresh-dominated"]
-        off = run_one(profile, quick=True)
-        on = run_one(profile, quick=True,
-                     obs_factory=lambda: Observability.in_memory(
-                         sample_interval=10_000))
-        for key in ("cycles", "requests", "acts", "row_hits",
-                    "refreshes", "rfms"):
-            assert off[key] == on[key]
-
-    def test_run_overhead_shape_and_traces(self, tmp_path):
-        results = run_overhead(names=["refresh-dominated"], quick=True,
-                               trace_dir=tmp_path, log=None)
+    def test_run_overhead_shape_and_traces(self, tmp_path, monkeypatch):
+        # Shape only, so two rounds (the second-smallest needs two).
+        monkeypatch.setattr(harness, "_GATE_ROUNDS", 2)
+        results = run_overhead("obs", names=["refresh-dominated"],
+                               quick=True, trace_dir=tmp_path, log=None)
         entry = results["refresh-dominated"]
         assert set(entry) == {"off", "on", "overhead"}
         assert entry["off"]["cycles"] == entry["on"]["cycles"]
         assert (tmp_path / "refresh-dominated.trace.json").exists()
+
+    def test_fault_overhead_shape(self, monkeypatch):
+        monkeypatch.setattr(harness, "_GATE_ROUNDS", 2)
+        results = run_overhead("faults", names=["refresh-dominated"],
+                               quick=True, log=None)
+        entry = results["refresh-dominated"]
+        assert set(entry) == {"off", "on", "overhead"}
+        assert entry["off"]["cycles"] == entry["on"]["cycles"] > 0
+
+    def test_fault_overhead_rejects_baked_in_faults(self):
+        with pytest.raises(ValueError, match="bake in fault injection"):
+            run_overhead("faults", names=["faults-on"], quick=True,
+                         log=None)
+
+    def test_fault_overhead_default_set_excludes_faults_on(self,
+                                                           monkeypatch):
+        measured = []
+
+        def short_measure(profile, quick, legs, rounds):
+            measured.append(profile.name)
+            return _measure(profile, quick, legs, 2)
+
+        monkeypatch.setattr(harness, "BENCH_PROFILES", {
+            name: BENCH_PROFILES[name]
+            for name in ("refresh-dominated", "faults-on")})
+        monkeypatch.setattr(harness, "_measure", short_measure)
+        results = run_overhead("faults", quick=True, log=None)
+        assert measured and set(measured) == {"refresh-dominated"}
+        assert set(results) == {"refresh-dominated"}
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(KeyError):
+            run_overhead("nope", names=["refresh-dominated"], log=None)
+
+    def test_measure_rejects_a_leg_that_changes_the_outcome(self):
+        def reseeded(profile, quick):
+            return dataclasses.replace(
+                profile, seed=profile.seed + 1).build(quick), None
+
+        with pytest.raises(RuntimeError,
+                           match="reseeded changed the simulated outcome"):
+            _measure(BENCH_PROFILES["refresh-dominated"], True,
+                     [_bare, reseeded], rounds=1)
 
     def test_check_overhead_gate(self):
         results = {"a": {"overhead": 0.05}, "b": {"overhead": 0.40}}

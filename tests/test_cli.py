@@ -93,6 +93,20 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["--log-level", "chatty", "security"])
 
+    def test_bench_overhead_takes_one_kind(self):
+        parser = build_parser()
+        assert parser.parse_args(
+            ["bench", "--overhead", "faults"]).overhead == "faults"
+        for argv in (["bench", "--overhead"],
+                     ["bench", "--overhead", "everything"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+
+    def test_bench_trace_dir_needs_overhead_obs(self, tmp_path):
+        for extra in ([], ["--overhead", "faults"]):
+            with pytest.raises(SystemExit, match="--overhead obs"):
+                main(["bench", "--trace-dir", str(tmp_path), *extra])
+
 
 class TestObservabilityCommands:
     def test_stats_command(self, capsys):

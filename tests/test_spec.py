@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.factories import make_shadow, make_shadow_with_trcd
-from repro.experiments.configs import fidelity_config
 from repro.spec import (
     ExperimentSpec,
     PointSpec,
@@ -209,16 +208,6 @@ class TestBuild:
     def test_timing_spec_overrides(self):
         timing = TimingSpec("DDR4-2666", {"tRCD": 23}).build()
         assert timing.tRCD == 23
-
-    def test_sim_spec_matches_fidelity_system_config(self):
-        # Cache-key compatibility: the declarative path must produce the
-        # exact SystemConfig the pre-spec drivers built.
-        fc = fidelity_config("smoke")
-        assert (fc.sim_spec().to_system_config()
-                == fc.system_config())
-        assert (fc.sim_spec(requests=fc.single_thread_requests)
-                .to_system_config()
-                == fc.system_config(requests=fc.single_thread_requests))
 
 
 class TestShadowTrcdSeed:
