@@ -29,11 +29,15 @@ all-bank REF, or a mitigation translation-generation bump (reported via
 :meth:`~repro.mitigations.base.Mitigation.register_translation_listener`)
 invalidates only the affected contexts.  Candidate selection then
 reduces over cached entries, applying only the shared-resource
-constraints (rank ACT/column spacing, command/data bus floors,
-throttling) that legitimately change between any two commands.  The
-command stream this produces is cycle-identical to a full per-iteration
-recompute -- ``tests/test_scheduler_equivalence.py`` pins that against
-recorded seed-controller golden runs.
+constraints that legitimately change between any two commands: the
+rank's ACT/column floors (:class:`~repro.dram.rank.RankTiming`), the
+command/data bus floors (:class:`~repro.dram.channel.ChannelTiming`)
+and throttling.  Those floors are stored state that only the
+``record_*`` calls made here at issue time move, so the scheduler reads
+them and never re-derives a spacing rule.  The command stream this
+produces is cycle-identical to a full per-iteration recompute --
+``tests/test_scheduler_equivalence.py`` pins that against recorded
+seed-controller golden runs.
 
 Requests carry a cached DA translation tagged with the mitigation's
 per-bank *translation generation*; the hit index is re-keyed in one
@@ -52,7 +56,6 @@ from repro.controller.request import MemoryRequest
 from repro.controller.rfm import RaaCounterBank
 from repro.dram.commands import CommandType
 from repro.dram.device import BankAddress, DramDevice
-from repro.dram.rank import _FAR_PAST
 from repro.dram.refresh import RefreshTracker
 from repro.mitigations.base import Mitigation
 
@@ -74,9 +77,6 @@ class McConfig:
     """Controller policy knobs."""
 
     enable_refresh: bool = True
-    #: Count an RFM's internal work beyond tRFM (mitigations whose work
-    #: exceeds the provisioned window extend the blocking time).
-    strict_rfm_window: bool = False
 
 
 class _BankCtx:
@@ -135,12 +135,6 @@ class MemoryController:
         self._tCL = device.timing.tCL
         self._tCWL = device.timing.tCWL
         self._tBL = device.timing.tBL
-        # Rank-spacing constants, hoisted for the candidate reduce loop.
-        self._tRRD_L = device.timing.tRRD_L
-        self._tRRD_S = device.timing.tRRD_S
-        self._tCCD_L = device.timing.tCCD_L
-        self._tCCD_S = device.timing.tCCD_S
-        self._tFAW = device.timing.tFAW
         self._act_extra = mitigation.act_extra_cycles
         self._chans = device.channels
         #: Only pay the per-candidate ``before_activate`` call when the
@@ -397,8 +391,7 @@ class MemoryController:
             if best is None:
                 # A None scan means no due REF either, so the channel's
                 # next obligation is exactly the refresh horizon the
-                # scan just recorded (``_idle_wake`` recomputes the
-                # same value; kept as the documented spec).
+                # scan just recorded.
                 return completions, self._scan_horizon[channel]
             earliest = best[0]
             if earliest > until:
@@ -410,13 +403,7 @@ class MemoryController:
             # _execute inlined: dispatch once per issued command.
             cycle, _prio, _age, op, target, payload = best
             if op == _OP_PRE:
-                chan = target.chan
-                if cycle < chan._cmd_free_at or \
-                        cycle < chan._blocked_until:
-                    raise RuntimeError("DRAM protocol violation: "
-                                       "command bus busy at issue time")
-                chan._cmd_free_at = cycle + 1
-                chan.commands_issued += 1
+                target.chan.record_command(cycle)
                 target.bank.issue_pre(cycle)
                 target.dirty = True
                 if payload == "conflict":
@@ -526,12 +513,12 @@ class MemoryController:
             # candidate loop to run (idle scans skip all of this).
             if chan is None:
                 chan = self._chans[channel]
-            cmd_floor, data_floor = chan.floors()
+            # The bus floors only move when a command is recorded, so
+            # they are constant across this scan.
+            cmd_floor = chan.cmd_floor
+            data_floor = chan.data_floor
             throttles = self._throttles
             mitigation = self.mitigation
-            tRRD_L, tRRD_S = self._tRRD_L, self._tRRD_S
-            tCCD_L, tCCD_S = self._tCCD_L, self._tCCD_S
-            tFAW = self._tFAW
             removals = False
             count = self._count
             # evals/hits are derived after the loop: evals = len(active)
@@ -555,16 +542,11 @@ class MemoryController:
                     continue
                 cand = self._recompute(ctx) if ctx.dirty else ctx.cand
                 e, prio, age, op, payload, lead = cand
-                # The rank spacing checks below are
-                # RankTiming.earliest_act / .earliest_column inlined --
+                # Rank spacing is RankTiming's stored per-group floor --
                 # this loop runs once per active bank per scheduling
                 # decision.
-                rank = ctx.rank
-                group = ctx.group
                 if op == _OP_COL:
-                    spacing = tCCD_L if group == rank._last_col_group \
-                        else tCCD_S
-                    floor = rank._last_col + spacing
+                    floor = ctx.rank.col_floor[ctx.group]
                     if e < floor:
                         e = floor
                     if e < cmd_floor:
@@ -573,20 +555,9 @@ class MemoryController:
                     if e < data_start:
                         e = data_start
                 elif op == _OP_ACT:
-                    spacing = tRRD_L if group == rank._last_act_group \
-                        else tRRD_S
-                    floor = rank._last_act + spacing
+                    floor = ctx.rank.act_floor[ctx.group]
                     if e < floor:
                         e = floor
-                    floor = rank._group_last_act.get(group, _FAR_PAST) \
-                        + tRRD_L
-                    if e < floor:
-                        e = floor
-                    act_times = rank._act_times
-                    if len(act_times) == 4:
-                        floor = act_times[0] + tFAW
-                        if e < floor:
-                            e = floor
                     if e < cmd_floor:
                         e = cmd_floor
                     if throttles:
@@ -719,10 +690,7 @@ class MemoryController:
         banks = self._rank_banks[(channel, rank_index)]
         best = None
         ref_earliest = tracker.next_due
-        # chan.earliest_command(e) == max(e, cmd_floor), hoisted.
-        cmd_floor = chan._cmd_free_at
-        if cmd_floor < chan._blocked_until:
-            cmd_floor = chan._blocked_until
+        cmd_floor = chan.cmd_floor
         for ctx in banks:
             bank = ctx.bank
             if bank.open_row is not None:
@@ -775,13 +743,7 @@ class MemoryController:
                 request.da_row = da_row = \
                     mitigation.translate(addr, request.location.row)
                 request.da_generation = generation
-        chan = ctx.chan
-        # ChannelTiming.record_command inlined (hot per-ACT path).
-        if cycle < chan._cmd_free_at or cycle < chan._blocked_until:
-            raise RuntimeError(
-                "DRAM protocol violation: command bus busy at issue time")
-        chan._cmd_free_at = cycle + 1
-        chan.commands_issued += 1
+        ctx.chan.record_command(cycle)
         ctx.rank.record_act(cycle, ctx.group)
         bank.issue_act(da_row, cycle, extra_latency=self._act_extra)
         bank.stats.row_misses += 1
@@ -822,34 +784,14 @@ class MemoryController:
         bank = ctx.bank
         chan = ctx.chan
         is_write = request.is_write
-        # ChannelTiming.record_command / record_data and
-        # RankTiming.record_column inlined (hot per-column path).
-        if cycle < chan._cmd_free_at or cycle < chan._blocked_until:
-            raise RuntimeError(
-                "DRAM protocol violation: command bus busy at issue time")
-        chan._cmd_free_at = cycle + 1
-        chan.commands_issued += 1
-        rank = ctx.rank
-        group = ctx.group
-        spacing = self._tCCD_L if group == rank._last_col_group \
-            else self._tCCD_S
-        if cycle < rank._last_col + spacing:
-            raise RuntimeError(
-                "DRAM protocol violation: column command before tCCD allows")
-        rank._last_col = cycle
-        rank._last_col_group = group
-        tBL = self._tBL
+        chan.record_command(cycle)
+        ctx.rank.record_column(cycle, ctx.group)
         if is_write:
             done = bank.issue_wr(cycle)
-            start = cycle + self._tCWL
+            chan.record_data(cycle + self._tCWL, self._tBL)
         else:
             done = bank.issue_rd(cycle)
-            start = cycle + self._tCL
-        if start < chan._data_free_at or start < chan._blocked_until:
-            raise RuntimeError(
-                "DRAM protocol violation: data bus busy at burst start")
-        chan._data_free_at = start + tBL
-        chan.data_busy_cycles += tBL
+            chan.record_data(cycle + self._tCL, self._tBL)
         bank.stats.row_hits += 1  # column commands served from the open row
         if self._tbuf is not None:
             if is_write:
@@ -919,8 +861,6 @@ class MemoryController:
         chan.record_command(cycle)
         outcome = self.mitigation.on_rfm(addr, cycle)
         duration = self._timing.tRFM
-        if self.config.strict_rfm_window:
-            duration = max(duration, outcome.duration)
         ctx.bank.issue_rfm(cycle, duration)
         ctx.dirty = True
         self.raa.on_rfm(addr)
@@ -935,23 +875,3 @@ class MemoryController:
             for src, dst in outcome.copies:
                 self.observer.on_row_copy(addr, src, dst, cycle)
         return None
-
-    # -- idle bookkeeping ---------------------------------------------------------------
-
-    def _idle_wake(self, channel: int, until: int) -> Optional[int]:
-        """Next obligation on an otherwise idle channel.
-
-        A tracker whose horizon has already passed (``next_due <=
-        until``) normally produced a refresh candidate this drain; if it
-        did not (defensively: a future scheduling path that suppresses
-        the REF), report a wake immediately after ``until`` rather than
-        dropping the obligation -- a due refresh must never starve.
-        """
-        wake = None
-        for _rank_index, tracker in self._chan_refresh[channel]:
-            due = tracker.next_due
-            if due <= until:
-                due = until + 1
-            if wake is None or due < wake:
-                wake = due
-        return wake

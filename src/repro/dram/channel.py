@@ -3,6 +3,12 @@
 One command may issue per channel per cycle; data bursts occupy the
 shared data bus for tBL cycles.  RRS-style row swaps block the whole
 channel (paper Section III-A), which is modelled here explicitly.
+
+Both buses are kept as stored floors -- ``cmd_floor`` and
+``data_floor``, the earliest cycle the next command / burst may use the
+bus, channel blocking included -- moved only by :meth:`record_command`,
+:meth:`record_data` and :meth:`block`.  The scheduler reads them
+directly.
 """
 
 from __future__ import annotations
@@ -11,54 +17,45 @@ from __future__ import annotations
 class ChannelTiming:
     """Occupancy tracking for one channel's command and data buses."""
 
-    __slots__ = ("_cmd_free_at", "_data_free_at", "_blocked_until",
+    __slots__ = ("cmd_floor", "data_floor", "_blocked_until",
                  "blocked_cycles", "commands_issued", "data_busy_cycles")
 
     def __init__(self):
-        self._cmd_free_at = 0
-        self._data_free_at = 0
+        self.cmd_floor = 0    # earliest cycle of the next command
+        self.data_floor = 0   # earliest start of the next data burst
         self._blocked_until = 0
         self.blocked_cycles = 0   # total channel-blocking time (RRS swaps)
         self.commands_issued = 0  # commands placed on the command bus
         self.data_busy_cycles = 0  # total data-bus burst occupancy
 
-    def floors(self):
-        """``(command_floor, data_floor)``: the earliest cycles either bus
-        is free.  Both are constant between issued commands, so the
-        scheduler hoists them once per candidate-selection pass instead
-        of calling :meth:`earliest_command` per bank."""
-        blocked = self._blocked_until
-        cmd = self._cmd_free_at
-        data = self._data_free_at
-        return ((cmd if cmd > blocked else blocked),
-                (data if data > blocked else blocked))
-
     # -- command bus -----------------------------------------------------------
 
     def earliest_command(self, cycle: int) -> int:
-        return max(cycle, self._cmd_free_at, self._blocked_until)
+        floor = self.cmd_floor
+        return cycle if cycle > floor else floor
 
     def record_command(self, cycle: int) -> None:
-        # == cycle < earliest_command(cycle), without the call/max.
-        if cycle < self._cmd_free_at or cycle < self._blocked_until:
+        if cycle < self.cmd_floor:
             raise RuntimeError(
                 "DRAM protocol violation: command bus busy at issue time"
             )
-        self._cmd_free_at = cycle + 1
+        # cycle >= the block end, so the block no longer bounds the bus.
+        self.cmd_floor = cycle + 1
         self.commands_issued += 1
 
     # -- data bus ---------------------------------------------------------------
 
     def earliest_data(self, start: int) -> int:
         """Earliest cycle >= ``start`` a data burst may begin."""
-        return max(start, self._data_free_at, self._blocked_until)
+        floor = self.data_floor
+        return start if start > floor else floor
 
     def record_data(self, start: int, burst: int) -> None:
-        if start < self._data_free_at or start < self._blocked_until:
+        if start < self.data_floor:
             raise RuntimeError(
                 "DRAM protocol violation: data bus busy at burst start"
             )
-        self._data_free_at = start + burst
+        self.data_floor = start + burst
         self.data_busy_cycles += burst
 
     # -- whole-channel blocking (RRS) --------------------------------------------
@@ -68,6 +65,10 @@ class ChannelTiming:
         if duration < 0:
             raise ValueError("duration must be non-negative")
         start = max(cycle, self._blocked_until)
-        self._blocked_until = start + duration
+        end = self._blocked_until = start + duration
+        if self.cmd_floor < end:
+            self.cmd_floor = end
+        if self.data_floor < end:
+            self.data_floor = end
         self.blocked_cycles += duration
-        return self._blocked_until
+        return end

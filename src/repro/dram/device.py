@@ -107,7 +107,7 @@ class DramDevice:
             addr: Bank(timing) for addr in geometry.bank_addresses()
         }
         self.ranks: Dict[tuple, RankTiming] = {
-            (ch, rk): RankTiming(timing)
+            (ch, rk): RankTiming(timing, geometry.effective_bank_groups)
             for ch in range(geometry.channels)
             for rk in range(geometry.ranks_per_channel)
         }

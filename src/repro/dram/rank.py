@@ -7,91 +7,83 @@ groups) and at most four ACTs may fall in any tFAW window.  Column
 commands on the shared bus are likewise spaced tCCD_L within a group
 and tCCD_S across groups -- the reason controllers interleave bank
 groups on DDR4/DDR5.
+
+This module is the only place those rules are written down.  They are
+stored as per-group *floors* -- the earliest legal cycle of the next ACT
+(``act_floor[g]``) and column command (``col_floor[g]``) to group ``g``
+-- recomputed only when a command is recorded, so the scheduler's
+candidate scan reads one list entry per bank instead of re-deriving the
+spacing.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict
+from typing import Deque, List
 
 from repro.dram.timing import TimingParams
 
-_FAR_PAST = -(10**12)
-
 
 class RankTiming:
-    """Sliding-window tracker for rank-wide ACT/column constraints."""
+    """Rank-wide ACT/column spacing, kept as per-bank-group floors."""
 
-    __slots__ = ("_t", "_act_times", "_last_act", "_last_act_group",
-                 "_group_last_act", "_last_col", "_last_col_group")
+    __slots__ = ("_t", "_act_times", "_group_last_act", "act_floor",
+                 "col_floor")
 
-    def __init__(self, timing: TimingParams):
+    def __init__(self, timing: TimingParams, groups: int):
         self._t = timing
         self._act_times: Deque[int] = deque(maxlen=4)
-        self._last_act = _FAR_PAST
-        self._last_act_group = None
-        self._group_last_act: Dict[int, int] = {}
-        self._last_col = _FAR_PAST
-        self._last_col_group = None
+        #: Last ACT per bank group (``None`` until the group activates).
+        self._group_last_act: List = [None] * groups
+        #: Earliest legal cycle of the next ACT / column command per group.
+        self.act_floor: List[int] = [0] * groups
+        self.col_floor: List[int] = [0] * groups
 
     # -- activates --------------------------------------------------------------
 
     def earliest_act(self, cycle: int, group: int = 0) -> int:
         """Earliest cycle >= ``cycle`` an ACT to ``group`` may issue."""
-        t = self._t
-        spacing = t.tRRD_L if group == self._last_act_group else t.tRRD_S
-        earliest = max(cycle, self._last_act + spacing)
-        # Same-group back-to-back ACTs always honour tRRD_L even if an
-        # other-group ACT slipped in between.
-        last_same = self._group_last_act.get(group, _FAR_PAST)
-        earliest = max(earliest, last_same + t.tRRD_L)
-        if len(self._act_times) == 4:
-            earliest = max(earliest, self._act_times[0] + t.tFAW)
-        return earliest
+        floor = self.act_floor[group]
+        return cycle if cycle > floor else floor
 
     def record_act(self, cycle: int, group: int = 0) -> None:
-        # Validation == cycle >= earliest_act(cycle, group), inlined:
-        # this runs once per ACT issued.
-        t = self._t
-        spacing = t.tRRD_L if group == self._last_act_group else t.tRRD_S
-        act_times = self._act_times
-        if (cycle < self._last_act + spacing
-                or cycle < self._group_last_act.get(group, _FAR_PAST)
-                + t.tRRD_L
-                or (len(act_times) == 4
-                    and cycle < act_times[0] + t.tFAW)):
+        if cycle < self.act_floor[group]:
             raise RuntimeError(
                 "DRAM protocol violation: rank ACT before tRRD/tFAW allow"
             )
-        self._last_act = cycle
-        self._last_act_group = group
-        self._group_last_act[group] = cycle
+        t = self._t
+        act_times = self._act_times
         act_times.append(cycle)
-
-    def faw_occupancy(self, cycle: int) -> int:
-        """ACTs currently inside this rank's tFAW window (0..4).
-
-        Read-only observability helper: 4 means the four-activate window
-        is saturated and the next ACT waits on the oldest entry to age
-        out.  Never mutates the tracker.
-        """
-        floor = cycle - self._t.tFAW
-        return sum(1 for t in self._act_times if t > floor)
+        group_last = self._group_last_act
+        group_last[group] = cycle
+        faw = act_times[0] + t.tFAW if len(act_times) == 4 else 0
+        floors = self.act_floor
+        for g, last in enumerate(group_last):
+            if g == group:
+                floor = cycle + t.tRRD_L
+            else:
+                # tRRD_S from this ACT, but still tRRD_L from the
+                # group's own last ACT (g0 -> g1 -> g0 keeps the g0
+                # spacing).
+                floor = cycle + t.tRRD_S
+                if last is not None and last + t.tRRD_L > floor:
+                    floor = last + t.tRRD_L
+            floors[g] = faw if faw > floor else floor
 
     # -- column commands ------------------------------------------------------------
 
     def earliest_column(self, cycle: int, group: int = 0) -> int:
         """Earliest cycle >= ``cycle`` a RD/WR to ``group`` may issue."""
-        t = self._t
-        spacing = t.tCCD_L if group == self._last_col_group else t.tCCD_S
-        return max(cycle, self._last_col + spacing)
+        floor = self.col_floor[group]
+        return cycle if cycle > floor else floor
 
     def record_column(self, cycle: int, group: int = 0) -> None:
-        t = self._t
-        spacing = t.tCCD_L if group == self._last_col_group else t.tCCD_S
-        if cycle < self._last_col + spacing:
+        if cycle < self.col_floor[group]:
             raise RuntimeError(
                 "DRAM protocol violation: column command before tCCD allows"
             )
-        self._last_col = cycle
-        self._last_col_group = group
+        floors = self.col_floor
+        short = cycle + self._t.tCCD_S
+        for g in range(len(floors)):
+            floors[g] = short
+        floors[group] = cycle + self._t.tCCD_L

@@ -52,8 +52,8 @@ class RfmOutcome:
     """What a mitigation did during one RFM command.
 
     ``duration`` is the internal busy time in cycles; the MC blocks the
-    bank for ``max(duration, tRFM)`` as the JEDEC interface provisions a
-    fixed window.  ``refreshed_rows`` are DA rows recharged (TRR or
+    bank for the fixed tRFM window the JEDEC interface provisions,
+    whatever the duration.  ``refreshed_rows`` are DA rows recharged (TRR or
     incremental refresh); ``copies`` are in-DRAM row copies (src, dst) in
     DA space.  Both feed the fault model.
     """

@@ -38,7 +38,7 @@ class TestGeometryGroups:
 
 class TestRankGroupTiming:
     def test_cross_group_act_uses_trrd_s(self):
-        rank = RankTiming(T)
+        rank = RankTiming(T, 4)
         rank.record_act(100, group=0)
         assert rank.earliest_act(100, group=1) == 100 + T.tRRD_S
         assert rank.earliest_act(100, group=0) == 100 + T.tRRD_L
@@ -46,13 +46,13 @@ class TestRankGroupTiming:
     def test_same_group_spacing_survives_interleaving(self):
         """g0 -> g1 -> g0: the second g0 ACT still honours tRRD_L from
         the first g0 ACT, not just tRRD_S from the g1 ACT."""
-        rank = RankTiming(T)
+        rank = RankTiming(T, 4)
         rank.record_act(0, group=0)
         rank.record_act(T.tRRD_S, group=1)
         assert rank.earliest_act(0, group=0) >= T.tRRD_L
 
     def test_column_spacing(self):
-        rank = RankTiming(T)
+        rank = RankTiming(T, 4)
         rank.record_column(50, group=0)
         assert rank.earliest_column(50, group=0) == 50 + T.tCCD_L
         assert rank.earliest_column(50, group=1) == 50 + T.tCCD_S
@@ -60,7 +60,7 @@ class TestRankGroupTiming:
             rank.record_column(50 + T.tCCD_S - 1, group=0)
 
     def test_tfaw_applies_across_groups(self):
-        rank = RankTiming(T)
+        rank = RankTiming(T, 4)
         times = []
         cycle = 0
         for i in range(4):

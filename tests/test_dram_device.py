@@ -14,14 +14,14 @@ T = DDR4_2666
 
 class TestRankTiming:
     def test_trrd_enforced(self):
-        rank = RankTiming(T)
+        rank = RankTiming(T, 4)
         rank.record_act(100)
         assert rank.earliest_act(100) == 100 + T.tRRD_L
         with pytest.raises(RuntimeError):
             rank.record_act(100 + T.tRRD_L - 1)
 
     def test_tfaw_enforced(self):
-        rank = RankTiming(T)
+        rank = RankTiming(T, 4)
         times = [0, T.tRRD_L, 2 * T.tRRD_L, 3 * T.tRRD_L]
         for t in times:
             rank.record_act(t)

@@ -112,15 +112,6 @@ class TestIdleRefreshWake:
         assert tracker.refs_issued == before + 1
         assert device.banks[BankAddress(0, 0, 0)].stats.refreshes == 1
 
-    def test_idle_wake_never_drops_a_due_obligation(self):
-        device, mc = make_mc(refresh=True)
-        tracker = mc.refresh[(0, 0)]
-        # A tracker already due within the horizon must yield a wake
-        # just past `until`, not be skipped as "in the past".
-        until = tracker.next_due + 100
-        wake = mc._idle_wake(0, until)
-        assert wake == until + 1
-
     def test_refreshes_keep_coming_on_idle_channel(self):
         device, mc = make_mc(refresh=True)
         cycle, refs = 0, 0

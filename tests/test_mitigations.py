@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import secure_raaimt
 from repro.dram.device import BankAddress, DramGeometry
 from repro.dram.subarray import SubarrayLayout
 from repro.dram.timing import DDR4_2666
@@ -19,7 +20,7 @@ from repro.mitigations import (
     mithril_area,
     mithril_perf,
 )
-from repro.mitigations.parfm import parfm_raaimt, shadow_raaimt
+from repro.mitigations.parfm import parfm_raaimt
 from repro.utils.rng import SystemRng
 
 T = DDR4_2666
@@ -88,7 +89,7 @@ class TestPara:
 
 class TestParfm:
     def test_raaimt_derivations(self):
-        assert shadow_raaimt(4096) == 64
+        assert secure_raaimt(4096) == 64
         assert parfm_raaimt(4096) == 32          # half of SHADOW's
         assert parfm_raaimt(4096, blast_radius=3) < parfm_raaimt(4096)
 
