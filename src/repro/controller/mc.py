@@ -34,8 +34,15 @@ rank's ACT/column floors (:class:`~repro.dram.rank.RankTiming`), the
 command/data bus floors (:class:`~repro.dram.channel.ChannelTiming`)
 and throttling.  Those floors are stored state that only the
 ``record_*`` calls made here at issue time move, so the scheduler reads
-them and never re-derives a spacing rule.  The command stream this
-produces is cycle-identical to a full per-iteration recompute --
+them and never re-derives a spacing rule.  The RFM obligations come
+from the RAA counters' incrementally kept due set, never from a scan
+over the counters.  When a drain stops short of its best candidate, the
+candidate is memoized for the channel's next drain, and an enqueue
+*folds into* that memo instead of clearing it: the next drain runs the
+reduction loop over just the banks enqueued since, starting from the
+memo (a full rescan is needed only when the enqueued bank is the memo's
+own winner, whose candidate may have got worse).  The command stream
+this produces is cycle-identical to a full per-iteration recompute --
 ``tests/test_scheduler_equivalence.py`` pins that against recorded
 seed-controller golden runs.
 
@@ -54,7 +61,6 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.controller.request import MemoryRequest
 from repro.controller.rfm import RaaCounterBank
-from repro.dram.commands import CommandType
 from repro.dram.device import BankAddress, DramDevice
 from repro.dram.refresh import RefreshTracker
 from repro.mitigations.base import Mitigation
@@ -90,11 +96,14 @@ class _BankCtx:
     bumps.  ``hit_index`` maps each DA row to the FIFO of queued
     requests targeting it, valid for translation generation
     ``index_gen``; retired requests leave the index eagerly and the
-    ``queue`` deque lazily.
+    ``queue`` deque lazily.  ``stamp`` increases with the bank's
+    position in its channel's active list (it is set when the bank
+    joins it), so a reduction over any subset of the list can break
+    exact ties the way a scan in list order does.
     """
 
     __slots__ = ("addr", "bank", "queue", "rank", "rank_key", "rank_index",
-                 "group", "pending", "in_active", "dirty", "cand",
+                 "group", "pending", "in_active", "stamp", "dirty", "cand",
                  "hit_index", "index_gen", "track", "chan", "channel")
 
     def __init__(self, addr: BankAddress, bank, rank, rank_key, group):
@@ -109,6 +118,7 @@ class _BankCtx:
         self.group = group
         self.pending = 0
         self.in_active = False
+        self.stamp = 0
         self.dirty = True
         self.cand = None
         self.hit_index: Dict[int, Deque[MemoryRequest]] = {}
@@ -207,31 +217,39 @@ class MemoryController:
                            * self._nbanks + addr.bank] = ctx
         self._active: Dict[int, List[_BankCtx]] = {
             ch: [] for ch in range(geometry.channels)}
+        self._next_stamp = 0
         self._pending_chan: List[int] = [0] * geometry.channels
         self._pending_total = 0
 
         # Cross-drain candidate memo.  When a drain ends because its
         # best candidate lies beyond ``until``, the candidate is saved
-        # per channel together with the channel's *refresh horizon* (the
-        # earliest not-yet-due REF tick observed while computing it).
-        # The next drain of the channel may reuse the saved candidate
-        # verbatim iff (a) nothing was enqueued to the channel since
-        # (enqueue clears the slot), (b) no translation generation on
-        # the channel bumped (the listener clears the slot), and (c) its
-        # new ``until`` still precedes the refresh horizon, so no REF
-        # obligation entered the candidate set.  All other scheduler
-        # state a candidate depends on only changes while the channel
-        # itself executes commands, which always ends in a fresh
-        # recompute.  Throttling mitigations are excluded wholesale:
-        # ``before_activate`` is stateful per *evaluation* (BlockHammer
-        # counts throttle probes), so skipping a re-evaluation would
-        # change mitigation-visible counters.
+        # per channel; the scan that produced it left the channel's
+        # *refresh horizon* (the earliest not-yet-due REF tick) and its
+        # skip sets (refresh-draining ranks, RFM-due banks) in the
+        # ``_scan_*`` slots, which only a scan of the same channel
+        # overwrites.  The next drain of the channel may reuse the memo
+        # iff (a) no translation generation on the channel bumped (the
+        # listener clears the slot), (b) no enqueue hit the memo's own
+        # winner (enqueue clears the slot), and (c) its new ``until``
+        # still precedes the refresh horizon, so no REF obligation
+        # entered the candidate set.  Any other enqueue lists its bank
+        # in ``_fresh`` and the next drain folds those banks into the
+        # memo (:meth:`_reduce`): the memo is the best of every other
+        # bank, whose candidates cannot change without a command on the
+        # channel.  All other scheduler state a candidate depends on
+        # only changes while the channel itself executes commands,
+        # which always ends in a fresh recompute.  Throttling
+        # mitigations are excluded wholesale: ``before_activate`` is
+        # stateful per *evaluation* (BlockHammer counts throttle
+        # probes), so skipping a re-evaluation would change
+        # mitigation-visible counters.
         self._cand_reuse = not self._throttles
         self._saved_cand: List = [None] * geometry.channels
-        self._saved_horizon: List[Optional[int]] = \
-            [None] * geometry.channels
+        self._fresh: List[List[_BankCtx]] = [
+            [] for _ in range(geometry.channels)]
         self._scan_horizon: List[Optional[int]] = \
             [None] * geometry.channels
+        self._scan_skip: List[Tuple] = [(None, None)] * geometry.channels
 
         mitigation.register_translation_listener(self._translation_changed)
 
@@ -329,6 +347,8 @@ class MemoryController:
         if not ctx.in_active:
             self._active[channel].append(ctx)
             ctx.in_active = True
+            ctx.stamp = self._next_stamp
+            self._next_stamp += 1
         row = location.row
         if self._static_translate:
             # Identity mapping, constant generation 0: cache per PA row.
@@ -353,7 +373,14 @@ class MemoryController:
         rows.append(request)
         ctx.pending += 1
         ctx.dirty = True
-        self._saved_cand[channel] = None
+        saved = self._saved_cand[channel]
+        if saved is not None:
+            if saved[4] is ctx:
+                self._saved_cand[channel] = None
+            else:
+                fresh = self._fresh[channel]
+                if ctx not in fresh:
+                    fresh.append(ctx)
         self._pending_chan[channel] += 1
         self._pending_total += 1
         self.enqueued += 1
@@ -377,14 +404,19 @@ class MemoryController:
         completions: List[Tuple[MemoryRequest, int]] = []
         best_candidate = self._best_candidate
         # Reuse the candidate memoized by the previous drain of this
-        # channel when it is still valid (see the memo's field comment);
-        # otherwise fall through to a fresh scan.
+        # channel when it is still valid, folding in the banks enqueued
+        # since (see the memo's field comment); otherwise fall through
+        # to a fresh scan.
         best = self._saved_cand[channel]
         if best is not None:
             self._saved_cand[channel] = None
-            horizon = self._saved_horizon[channel]
+            horizon = self._scan_horizon[channel]
             if horizon is not None and until >= horizon:
                 best = None
+            elif self._fresh[channel]:
+                draining, rfm_ctxs = self._scan_skip[channel]
+                best = self._reduce(channel, self._fresh[channel], best,
+                                    draining, rfm_ctxs)
         if best is None:
             best = best_candidate(channel, until)
         while True:
@@ -397,8 +429,7 @@ class MemoryController:
             if earliest > until:
                 if self._cand_reuse:
                     self._saved_cand[channel] = best
-                    self._saved_horizon[channel] = \
-                        self._scan_horizon[channel]
+                    self._fresh[channel].clear()
                 return completions, earliest
             # _execute inlined: dispatch once per issued command.
             cycle, _prio, _age, op, target, payload = best
@@ -430,14 +461,14 @@ class MemoryController:
 
         Refresh and RFM obligations are derived fresh (they are rare and
         depend on ``until``); demand candidates reduce over the per-bank
-        caches, applying only the shared rank/channel constraints here.
-        Iteration order (refresh ranks, RAA-counter insertion order,
-        active-bank insertion order) matches the original full-recompute
-        scheduler exactly so tie-breaks are preserved.
+        caches in :meth:`_reduce`.  Iteration order (refresh ranks,
+        RAA-counter first-touch order, active-bank order) matches the
+        original full-recompute scheduler exactly so tie-breaks are
+        preserved.
         """
+        raa = self.raa
         if not self._pending_chan[channel]:
-            raa = self.raa
-            if raa is None or not raa.due_count:
+            if raa is None or not raa.due:
                 # Idle channel: demand candidates need a pending request
                 # and RFM needs a due counter, so only REF work remains.
                 # If no tracker is due either, the scan result is known
@@ -454,12 +485,8 @@ class MemoryController:
                     self._scan_horizon[channel] = horizon
                     return None
 
-        chan = None
-        best_e = best_p = best_a = -1
-        best_op = best_target = best_payload = None
-        have_best = False
-
-        refresh_draining_ranks = None
+        best = None
+        draining = None
         horizon = None
         for rank_index, tracker in self._chan_refresh[channel]:
             due = tracker.next_due
@@ -469,117 +496,137 @@ class MemoryController:
                 if horizon is None or due < horizon:
                     horizon = due
                 continue
-            if refresh_draining_ranks is None:
-                refresh_draining_ranks = set()
-                chan = self._chans[channel]
-            refresh_draining_ranks.add(rank_index)
+            if draining is None:
+                draining = set()
+            draining.add(rank_index)
             cand = self._refresh_candidate(channel, rank_index, tracker,
-                                           chan)
-            if cand is None:
-                continue
-            e, p, a = cand[0], cand[1], cand[2]
-            if (not have_best) or (e, p, a) < (best_e, best_p, best_a):
-                have_best = True
-                best_e, best_p, best_a = e, p, a
-                best_op, best_target, best_payload = cand[3], cand[4], cand[5]
+                                           self._chans[channel])
+            if cand is not None and (best is None or cand[:3] < best[:3]):
+                best = cand
         self._scan_horizon[channel] = horizon
 
-        rfm_banks = None
-        raa = self.raa
-        if raa is not None and raa.due_count:
-            if chan is None:
-                chan = self._chans[channel]
+        rfm_ctxs = None
+        if raa is not None and raa.due:
+            cmd_floor = self._chans[channel].cmd_floor
             for addr in raa.banks_needing_rfm():
                 if addr.channel != channel:
                     continue
-                if refresh_draining_ranks and \
-                        addr.rank in refresh_draining_ranks:
+                if draining and addr.rank in draining:
                     continue  # refresh first; REF also credits RAA
                 ctx = self._ctx[addr]
-                if rfm_banks is None:
-                    rfm_banks = set()
-                rfm_banks.add(addr)
-                cand = self._rfm_candidate(ctx, chan)
-                e, p, a = cand[0], cand[1], cand[2]
-                if (not have_best) or (e, p, a) < (best_e, best_p, best_a):
-                    have_best = True
-                    best_e, best_p, best_a = e, p, a
-                    best_op, best_target, best_payload = \
-                        cand[3], cand[4], cand[5]
+                if rfm_ctxs is None:
+                    rfm_ctxs = set()
+                rfm_ctxs.add(ctx)
+                # An open bank precharges first; a closed one takes the
+                # RFM once it could take an ACT.
+                bank = ctx.bank
+                if bank.open_row is not None:
+                    e = bank.next_pre
+                    op = _OP_PRE
+                else:
+                    e = bank.next_act
+                    op = _OP_RFM
+                if e < bank.busy_until:
+                    e = bank.busy_until
+                if e < cmd_floor:
+                    e = cmd_floor
+                # REF (prio 0) and earlier RFM candidates win ties.
+                if best is None or e < best[0]:
+                    best = (e, _PRIO_RFM, 0, op, ctx, None)
+        self._scan_skip[channel] = (draining, rfm_ctxs)
 
         active = self._active[channel]
         if active:
-            # Per-candidate constants, hoisted only when there is a
-            # candidate loop to run (idle scans skip all of this).
-            if chan is None:
-                chan = self._chans[channel]
-            # The bus floors only move when a command is recorded, so
-            # they are constant across this scan.
-            cmd_floor = chan.cmd_floor
-            data_floor = chan.data_floor
-            throttles = self._throttles
-            mitigation = self.mitigation
-            removals = False
-            count = self._count
-            # evals/hits are derived after the loop: evals = len(active)
-            # - skipped, hits = evals - recomputes the loop triggered.
-            # The skip paths are rare, so the hot per-candidate path
-            # carries no counting instructions at all.
-            skipped = 0
-            pre_recomputes = self.cand_recomputes if count else 0
-            for ctx in active:
-                if not ctx.pending:
-                    removals = True
-                    ctx.in_active = False
-                    skipped += 1
-                    continue
-                if refresh_draining_ranks is not None and \
-                        ctx.rank_index in refresh_draining_ranks:
-                    skipped += 1
-                    continue
-                if rfm_banks is not None and ctx.addr in rfm_banks:
-                    skipped += 1
-                    continue
-                cand = self._recompute(ctx) if ctx.dirty else ctx.cand
-                e, prio, age, op, payload, lead = cand
-                # Rank spacing is RankTiming's stored per-group floor --
-                # this loop runs once per active bank per scheduling
-                # decision.
-                if op == _OP_COL:
-                    floor = ctx.rank.col_floor[ctx.group]
-                    if e < floor:
-                        e = floor
-                    if e < cmd_floor:
-                        e = cmd_floor
-                    data_start = data_floor - lead
-                    if e < data_start:
-                        e = data_start
-                elif op == _OP_ACT:
-                    floor = ctx.rank.act_floor[ctx.group]
-                    if e < floor:
-                        e = floor
-                    if e < cmd_floor:
-                        e = cmd_floor
-                    if throttles:
-                        e = mitigation.before_activate(
-                            ctx.addr, payload.location.row, e)
-                else:  # _OP_PRE (row conflict)
-                    if e < cmd_floor:
-                        e = cmd_floor
-                if (not have_best) or e < best_e or (
-                        e == best_e and (prio < best_p or
-                                         (prio == best_p
-                                          and age < best_a))):
-                    have_best = True
-                    best_e, best_p, best_a = e, prio, age
-                    best_op, best_target, best_payload = op, ctx, payload
-            if count:
-                evals = len(active) - skipped
-                self.cand_evals += evals
-                self.cand_hits += \
-                    evals - (self.cand_recomputes - pre_recomputes)
-            if removals:
-                self._active[channel] = [c for c in active if c.pending]
+            return self._reduce(channel, active, best, draining, rfm_ctxs)
+        return best
+
+    def _reduce(self, channel: int, banks: List[_BankCtx], best,
+                draining, rfm_ctxs):
+        """Fold the demand candidates of ``banks`` into ``best``.
+
+        ``banks`` is the channel's active list (a full scan) or the
+        banks enqueued since ``best`` was memoized (a fold); banks in a
+        refresh-draining rank (``draining``) or owed an RFM
+        (``rfm_ctxs``, compared by identity) are skipped.  Only the
+        shared rank/channel constraints are applied here; exact ties on
+        ``(e, prio, age)`` go to the lower active-list stamp, which in
+        a full scan is simply the bank met first.
+        """
+        if best is None:
+            have_best = False
+            best_e = best_p = best_a = -1
+            best_op = best_target = best_payload = None
+        else:
+            have_best = True
+            best_e, best_p, best_a, best_op, best_target, best_payload = best
+        # The bus floors only move when a command is recorded, so they
+        # are constant across this reduction.
+        chan = self._chans[channel]
+        cmd_floor = chan.cmd_floor
+        data_floor = chan.data_floor
+        throttles = self._throttles
+        mitigation = self.mitigation
+        removals = False
+        count = self._count
+        # evals/hits are derived after the loop: evals = len(banks) -
+        # skipped, hits = evals - recomputes the loop triggered.  The
+        # skip paths are rare, so the hot per-candidate path carries no
+        # counting instructions at all.
+        skipped = 0
+        pre_recomputes = self.cand_recomputes if count else 0
+        for ctx in banks:
+            if not ctx.pending:
+                removals = True
+                ctx.in_active = False
+                skipped += 1
+                continue
+            if draining is not None and ctx.rank_index in draining:
+                skipped += 1
+                continue
+            if rfm_ctxs is not None and ctx in rfm_ctxs:
+                skipped += 1
+                continue
+            cand = self._recompute(ctx) if ctx.dirty else ctx.cand
+            e, prio, age, op, payload, lead = cand
+            # Rank spacing is RankTiming's stored per-group floor --
+            # this loop runs once per active bank per scheduling
+            # decision.
+            if op == _OP_COL:
+                floor = ctx.rank.col_floor[ctx.group]
+                if e < floor:
+                    e = floor
+                if e < cmd_floor:
+                    e = cmd_floor
+                data_start = data_floor - lead
+                if e < data_start:
+                    e = data_start
+            elif op == _OP_ACT:
+                floor = ctx.rank.act_floor[ctx.group]
+                if e < floor:
+                    e = floor
+                if e < cmd_floor:
+                    e = cmd_floor
+                if throttles:
+                    e = mitigation.before_activate(
+                        ctx.addr, payload.location.row, e)
+            else:  # _OP_PRE (row conflict)
+                if e < cmd_floor:
+                    e = cmd_floor
+            if (not have_best) or e < best_e or (
+                    e == best_e and (prio < best_p or (
+                        prio == best_p and (age < best_a or (
+                            age == best_a
+                            and ctx.stamp < best_target.stamp))))):
+                have_best = True
+                best_e, best_p, best_a = e, prio, age
+                best_op, best_target, best_payload = op, ctx, payload
+        if count:
+            evals = len(banks) - skipped
+            self.cand_evals += evals
+            self.cand_hits += evals - (self.cand_recomputes - pre_recomputes)
+        if removals:
+            self._active[channel] = [c for c in self._active[channel]
+                                     if c.pending]
         if not have_best:
             return None
         return (best_e, best_p, best_a, best_op, best_target, best_payload)
@@ -712,16 +759,6 @@ class MemoryController:
         earliest = ref_earliest if ref_earliest > cmd_floor else cmd_floor
         return (earliest, _PRIO_REFRESH, 0, _OP_REF,
                 (channel, rank_index, tracker, banks, chan), None)
-
-    def _rfm_candidate(self, ctx: _BankCtx, chan):
-        bank = ctx.bank
-        if bank.open_row is not None:
-            earliest = chan.earliest_command(
-                bank.earliest_issue(CommandType.PRE, 0))
-            return (earliest, _PRIO_RFM, 0, _OP_PRE, ctx, None)
-        earliest = chan.earliest_command(
-            bank.earliest_issue(CommandType.RFM, 0))
-        return (earliest, _PRIO_RFM, 0, _OP_RFM, ctx, None)
 
     # -- candidate execution ------------------------------------------------------------
     # Dispatch itself lives inline in ``drain`` (one branch per issued

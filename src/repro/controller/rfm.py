@@ -9,7 +9,7 @@ the RFM subtracts RAAIMT, and an all-bank REF also credits the counter
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, List, Optional
 
 from repro.dram.device import BankAddress
 
@@ -18,19 +18,22 @@ from repro.dram.device import BankAddress
 class RaaCounterBank:
     """The full set of per-bank RAA counters.
 
-    ``due_count`` tracks how many banks currently sit at or above RAAIMT
-    so the scheduler can skip the per-bank scan entirely in the common
-    no-RFM-owed case (:meth:`banks_needing_rfm` is only called when
-    ``due_count`` is non-zero).  Iteration order of the scan is the
-    counters dict's insertion order, which the scheduler's tie-breaking
-    depends on -- do not replace the dict with a set of due banks.
+    ``due`` holds the banks currently at or above RAAIMT, kept up to
+    date by every ACT, RFM and REF (each may cross the threshold), so
+    the scheduler never scans the counters to find the banks it owes an
+    RFM.  It maps each due bank to its *first-touch stamp*, the position
+    at which the bank entered ``counters``, and
+    :meth:`banks_needing_rfm` lists the due banks in stamp order,
+    rebuilt only when the set changes.  The scheduler's tie-breaks
+    depend on that order: a list ordered by crossing time would change
+    the command stream.
     """
 
     raaimt: int
     ref_credit: int = None  # decrement applied per REF; defaults to RAAIMT
     counters: Dict[BankAddress, int] = field(default_factory=dict)
     rfms_issued: int = 0
-    due_count: int = 0
+    due: Dict[BankAddress, int] = field(init=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.raaimt <= 0:
@@ -39,8 +42,15 @@ class RaaCounterBank:
             self.ref_credit = self.raaimt
         if self.ref_credit < 0:
             raise ValueError("ref_credit must be non-negative")
-        self.due_count = sum(1 for c in self.counters.values()
-                             if c >= self.raaimt)
+        self._stamps = {addr: i for i, addr in enumerate(self.counters)}
+        self.due = {addr: self._stamps[addr]
+                    for addr, c in self.counters.items() if c >= self.raaimt}
+        #: Stamp-ordered view of ``due``; None after it changes.
+        self._due_list: Optional[List[BankAddress]] = None
+
+    @property
+    def due_count(self) -> int:
+        return len(self.due)
 
     def count(self, addr: BankAddress) -> int:
         return self.counters.get(addr, 0)
@@ -49,33 +59,48 @@ class RaaCounterBank:
         """Count one ACT; returns True when this ACT crossed RAAIMT
         (the bank just became RFM-due -- security telemetry hooks on
         exactly these crossings)."""
-        value = self.counters.get(addr, 0) + 1
+        value = self.counters.get(addr)
+        if value is None:
+            self._stamps[addr] = len(self._stamps)
+            value = 0
+        value += 1
         self.counters[addr] = value
         if value == self.raaimt:
-            self.due_count += 1
+            self.due[addr] = self._stamps[addr]
+            self._due_list = None
             return True
         return False
 
     def rfm_needed(self, addr: BankAddress) -> bool:
-        return self.count(addr) >= self.raaimt
+        return addr in self.due
 
-    def banks_needing_rfm(self):
-        return [a for a, c in self.counters.items() if c >= self.raaimt]
+    def banks_needing_rfm(self) -> List[BankAddress]:
+        """Due banks in first-touch order (a shared list: do not mutate)."""
+        due_list = self._due_list
+        if due_list is None:
+            due = self.due
+            self._due_list = due_list = sorted(due, key=due.__getitem__)
+        return due_list
 
     def on_rfm(self, addr: BankAddress) -> None:
-        if not self.rfm_needed(addr):
+        if addr not in self.due:
             raise RuntimeError(
                 "RFM issued to a bank whose RAA count is below RAAIMT"
             )
         value = self.counters[addr] - self.raaimt
         self.counters[addr] = value
         if value < self.raaimt:
-            self.due_count -= 1
+            del self.due[addr]
+            self._due_list = None
         self.rfms_issued += 1
 
     def on_ref(self, addr: BankAddress) -> None:
-        old = self.counters.get(addr, 0)
+        old = self.counters.get(addr)
+        if old is None:
+            self._stamps[addr] = len(self._stamps)
+            old = 0
         new = max(0, old - self.ref_credit)
         self.counters[addr] = new
         if old >= self.raaimt > new:
-            self.due_count -= 1
+            del self.due[addr]
+            self._due_list = None

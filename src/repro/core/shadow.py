@@ -113,9 +113,7 @@ class Shadow(Mitigation):
                 "copies": [[src, dst] for src, dst in copies],
                 "refreshed_rows": list(refreshed),
             })
-        duration = self.timings.rfm_work_cycles(copies=len(copies))
-        return RfmOutcome(duration=duration, refreshed_rows=refreshed,
-                          copies=copies)
+        return RfmOutcome(refreshed_rows=refreshed, copies=copies)
 
     # -- reporting ---------------------------------------------------------------------
 

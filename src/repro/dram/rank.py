@@ -27,14 +27,16 @@ from repro.dram.timing import TimingParams
 class RankTiming:
     """Rank-wide ACT/column spacing, kept as per-bank-group floors."""
 
-    __slots__ = ("_t", "_act_times", "_group_last_act", "act_floor",
-                 "col_floor")
+    __slots__ = ("_t", "_act_times", "_group_last_act", "_group_last_col",
+                 "act_floor", "col_floor")
 
     def __init__(self, timing: TimingParams, groups: int):
         self._t = timing
         self._act_times: Deque[int] = deque(maxlen=4)
         #: Last ACT per bank group (``None`` until the group activates).
         self._group_last_act: List = [None] * groups
+        #: Last column command per bank group (``None`` until its first).
+        self._group_last_col: List = [None] * groups
         #: Earliest legal cycle of the next ACT / column command per group.
         self.act_floor: List[int] = [0] * groups
         self.col_floor: List[int] = [0] * groups
@@ -82,8 +84,17 @@ class RankTiming:
             raise RuntimeError(
                 "DRAM protocol violation: column command before tCCD allows"
             )
+        t = self._t
+        group_last = self._group_last_col
+        group_last[group] = cycle
         floors = self.col_floor
-        short = cycle + self._t.tCCD_S
-        for g in range(len(floors)):
-            floors[g] = short
-        floors[group] = cycle + self._t.tCCD_L
+        short = cycle + t.tCCD_S
+        for g, last in enumerate(group_last):
+            if g == group:
+                floors[g] = cycle + t.tCCD_L
+            elif last is not None and last + t.tCCD_L > short:
+                # tCCD_S from this command, but still tCCD_L from the
+                # group's own last column command (as for ACTs).
+                floors[g] = last + t.tCCD_L
+            else:
+                floors[g] = short

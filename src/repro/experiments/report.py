@@ -52,7 +52,9 @@ def save_results(name: str, payload: Dict, directory: str = "results") -> str:
 
     The write is atomic (temp file + ``os.replace``): a crash or a
     concurrent reader never observes a truncated JSON file, and two
-    drivers writing the same name leave one intact winner.
+    drivers writing the same name leave one intact winner.  The file
+    gets the mode a plain ``open()`` would give it under the current
+    umask, not the temp file's private 0600.
     """
     out_dir = pathlib.Path(directory)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -62,6 +64,9 @@ def save_results(name: str, payload: Dict, directory: str = "results") -> str:
     try:
         with os.fdopen(fd, "w") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True, default=str)
+        umask = os.umask(0)  # the only way to read it: set and restore
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -51,14 +51,12 @@ from repro.dram.timing import TimingParams
 class RfmOutcome:
     """What a mitigation did during one RFM command.
 
-    ``duration`` is the internal busy time in cycles; the MC blocks the
-    bank for the fixed tRFM window the JEDEC interface provisions,
-    whatever the duration.  ``refreshed_rows`` are DA rows recharged (TRR or
-    incremental refresh); ``copies`` are in-DRAM row copies (src, dst) in
-    DA space.  Both feed the fault model.
+    The MC blocks the bank for the fixed tRFM window the JEDEC interface
+    provisions, whatever the work.  ``refreshed_rows`` are DA rows
+    recharged (TRR or incremental refresh); ``copies`` are in-DRAM row
+    copies (src, dst) in DA space.  Both feed the fault model.
     """
 
-    duration: int = 0
     refreshed_rows: List[int] = field(default_factory=list)
     copies: List[Tuple[int, int]] = field(default_factory=list)
 

@@ -182,13 +182,12 @@ class RfmTrrHottest(ActionPolicy):
     def on_rfm(self, owner, state, addr, cycle):
         hottest = state.tracker.hottest()
         if hottest is None:
-            return RfmOutcome(duration=0)
+            return RfmOutcome()
         target, _count = hottest
         state.tracker.settle(target)
         victims = _blast_victims(owner, target, self.blast_radius)
         owner.trr_count += len(victims)
-        duration = len(victims) * owner.timing.tRC
-        return RfmOutcome(duration=duration, refreshed_rows=victims)
+        return RfmOutcome(refreshed_rows=victims)
 
 
 @POLICIES.register("rfm-trr-sampled")
@@ -210,11 +209,10 @@ class RfmTrrSampled(ActionPolicy):
     def on_rfm(self, owner, state, addr, cycle):
         target = state.tracker.sample(owner.rng)
         if target is None:
-            return RfmOutcome(duration=0)
+            return RfmOutcome()
         victims = _blast_victims(owner, target, self.blast_radius)
         owner.trr_count += len(victims)
-        duration = len(victims) * owner.timing.tRC
-        return RfmOutcome(duration=duration, refreshed_rows=victims)
+        return RfmOutcome(refreshed_rows=victims)
 
 
 @POLICIES.register("trr-probabilistic")

@@ -127,6 +127,6 @@ class FilteredRfm(Mitigation):
             self.rfms_filtered += 1
             if self._event_listeners:
                 self.emit_event("rfm-filtered", addr, cycle)
-            return RfmOutcome(duration=0)
+            return RfmOutcome()
         self.rfms_passed += 1
         return self.inner.on_rfm(addr, cycle)

@@ -1,6 +1,8 @@
 """RAA counter semantics (DDR5 RFM interface)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.controller.rfm import RaaCounterBank
 from repro.dram.device import BankAddress
@@ -65,3 +67,39 @@ def test_validation():
         RaaCounterBank(raaimt=0)
     with pytest.raises(ValueError):
         RaaCounterBank(raaimt=4, ref_credit=-1)
+
+
+# -- the incrementally kept due set against a brute-force model ---------------
+
+BANKS = [BankAddress(ch, rk, bk) for ch in range(2) for rk in range(2)
+         for bk in range(3)]
+_op = st.tuples(st.sampled_from(["act", "act", "act", "rfm", "ref"]),
+                st.sampled_from(BANKS))
+
+
+@given(raaimt=st.integers(1, 6), ref_credit=st.integers(0, 8),
+       ops=st.lists(_op, max_size=120))
+@settings(max_examples=150, deadline=None)
+def test_due_set_matches_first_touch_filter(raaimt, ref_credit, ops):
+    raa = RaaCounterBank(raaimt=raaimt, ref_credit=ref_credit)
+    model = {}  # bank -> count, in first-touch (insertion) order
+    for kind, addr in ops:
+        if kind == "act":
+            model[addr] = model.get(addr, 0) + 1
+            raa.on_activate(addr)
+        elif kind == "ref":
+            # A REF touches every bank of the rank, activated or not.
+            model[addr] = max(0, model.get(addr, 0) - ref_credit)
+            raa.on_ref(addr)
+        elif model.get(addr, 0) >= raaimt:
+            model[addr] -= raaimt
+            raa.on_rfm(addr)
+        else:
+            with pytest.raises(RuntimeError):
+                raa.on_rfm(addr)
+        expected = [a for a, c in model.items() if c >= raaimt]
+        assert raa.banks_needing_rfm() == expected
+        assert raa.due_count == len(expected)
+        for a in BANKS:
+            assert raa.rfm_needed(a) == (a in expected)
+            assert raa.count(a) == model.get(a, 0)

@@ -56,6 +56,19 @@ class TestReportHelpers:
         # Neither a partial target nor a stranded temp file remains.
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("umask", [0o022, 0o027])
+    def test_save_results_mode_matches_plain_open(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            path = save_results("unit", {"x": 1}, directory=str(tmp_path))
+            plain = tmp_path / "plain.json"
+            with open(plain, "w") as handle:
+                handle.write("{}")
+        finally:
+            os.umask(old)
+        assert os.stat(path).st_mode == os.stat(plain).st_mode
+        assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask
+
     def test_save_results_creates_nested_directory(self, tmp_path):
         target = tmp_path / "a" / "b"
         path = save_results("deep", {"ok": True}, directory=str(target))

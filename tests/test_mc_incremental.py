@@ -2,9 +2,16 @@
 
 Covers the invariants the candidate cache must preserve: FIFO-age
 tie-breaking, O(1) pending counters, refresh obligations on idle
-channels, and cache invalidation on translation-generation bumps.
+channels, cache invalidation on translation-generation bumps, and the
+cross-drain memo: every enqueue folded into it must leave the candidate
+a full scan would pick.
 """
 
+import importlib.util
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.controller.address import MemoryLocation
 from repro.controller.mc import McConfig, MemoryController
@@ -14,6 +21,7 @@ from repro.dram.subarray import SubarrayLayout
 from repro.dram.timing import DDR4_2666
 from repro.mitigations.base import Mitigation
 from repro.mitigations.none import NoMitigation
+from repro.sim import System, SystemConfig
 
 T = DDR4_2666
 SMALL = DramGeometry(
@@ -220,3 +228,91 @@ class TestTranslationInvalidation:
         assert not ctx.dirty
         mitigation.flip(BankAddress(0, 0, 0))
         assert ctx.dirty
+
+
+# -- the enqueue-proof memo against full scans ------------------------------------
+
+def _load_golden_generator():
+    spec = importlib.util.spec_from_file_location(
+        "golden_generate_memo",
+        Path(__file__).resolve().parent / "golden" / "generate.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+GEN = _load_golden_generator()
+
+
+def run_checking_folds(system):
+    """Run ``system``; at every memo fold, compare the folded candidate
+    with a full ``_best_candidate`` scan of the same state.  Returns the
+    number of folds checked."""
+    mc = system.mc
+    drain, reduce = mc.drain, mc._reduce
+    untils = {}
+    folds = []
+
+    def checked_drain(channel, until):
+        untils[channel] = until
+        return drain(channel, until)
+
+    def checked_reduce(channel, banks, best, draining, rfm_ctxs):
+        folded = reduce(channel, banks, best, draining, rfm_ctxs)
+        if banks is mc._fresh[channel]:
+            full = MemoryController._best_candidate(mc, channel,
+                                                    untils[channel])
+            assert folded == full, (
+                f"fold on channel {channel} at until={untils[channel]} "
+                f"chose {folded[:4]}, a full scan {full[:4]}")
+            folds.append(channel)
+        return folded
+
+    mc.drain = checked_drain
+    mc._reduce = checked_reduce
+    system.run()
+    return len(folds)
+
+
+def _memo_system(scheme, channels, ranks, banks, threads, requests, seed):
+    geometry = DramGeometry(
+        channels=channels, ranks_per_channel=ranks, banks_per_rank=banks,
+        layout=SubarrayLayout(subarrays_per_bank=4, rows_per_subarray=64),
+        columns_per_row=32)
+    config = SystemConfig(geometry=geometry, seed=seed,
+                          requests_per_thread=requests)
+    return System((list(GEN.THREADS) * 2)[:threads],
+                  GEN.make_mitigation(scheme), config=config)
+
+
+@given(scheme=st.sampled_from(["none", "shadow", "dapper", "rrs"]),
+       channels=st.integers(1, 2), ranks=st.integers(1, 2),
+       banks=st.sampled_from([2, 4, 8]), threads=st.integers(1, 4),
+       requests=st.integers(20, 150), seed=st.integers(0, 2**16))
+@settings(max_examples=25, deadline=None)
+def test_every_fold_equals_a_full_scan(scheme, channels, ranks, banks,
+                                       threads, requests, seed):
+    run_checking_folds(_memo_system(scheme, channels, ranks, banks,
+                                    threads, requests, seed))
+
+
+def test_exact_tie_goes_to_lower_active_stamp():
+    # Two closed banks with same-cycle arrivals tie exactly on
+    # (earliest, prio, age); a scan in active-list order keeps the
+    # first.  A fold that meets the banks in the other order must pick
+    # the same winner, by stamp.
+    _device, mc = make_mc(refresh=False)
+    mc.enqueue(req(row=1, bank=0, arrival=5))
+    mc.enqueue(req(row=2, bank=1, arrival=5))
+    first, second = mc._active[0]
+    assert first.stamp < second.stamp
+    assert mc._best_candidate(0, 0)[4] is first
+    best_second = mc._reduce(0, [second], None, None, None)
+    assert best_second[:3] == mc._reduce(0, [first], None, None, None)[:3]
+    assert mc._reduce(0, [first], best_second, None, None)[4] is first
+
+
+def test_folds_happen():
+    # The property above is vacuous if no fold ever runs.
+    assert run_checking_folds(
+        _memo_system("shadow", 2, 1, 8, 3, 300, 13)) > 100

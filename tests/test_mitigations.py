@@ -104,8 +104,7 @@ class TestParfm:
         for _ in range(8):
             m.on_activate(ADDR, 10, da, 0)
         out = m.on_rfm(ADDR, 100)
-        assert set(out.refreshed_rows) == {da - 1, da + 1}
-        assert out.duration == 2 * T.tRC
+        assert sorted(out.refreshed_rows) == [da - 1, da + 1]
 
     def test_rfm_with_no_history(self):
         m = bind(Parfm(raaimt=8))

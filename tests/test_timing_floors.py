@@ -28,6 +28,8 @@ TIMINGS = {
     # other-group ACT in between (on the real sets the tRRD_S from the
     # intervening ACT always covers it).
     "long-trrd-l": replace(DDR4_2666, tRRD_L=13),
+    # tCCD_L > 2 * tCCD_S: the same holds for column commands.
+    "long-tccd-l": replace(DDR4_2666, tCCD_L=9),
 }
 
 
